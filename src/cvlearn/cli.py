@@ -4,7 +4,7 @@ Every stochastic command requires an explicit --seed (no environment
 fallback), and every output embeds the resolved configuration plus the
 constants version, so reruns are byte-identical.
 
-Exit codes: 0 success, 2 validation error, 3 numeric failure.
+Exit codes: 0 success, 2 validation or file error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -63,7 +63,10 @@ def parse_cvector(text: str, n: int | None = None) -> np.ndarray:
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _dump_json(path, payload):
@@ -208,16 +211,21 @@ def cmd_bounds_curve(args) -> int:
 
 def cmd_game_run(args) -> int:
     raw = _load_json(args.config)
-    u_spec = raw.pop("u", None)
-    n = int(raw["n"])
-    if isinstance(u_spec, list):
-        u = SymmetricUnitary(matrix=np.array(
-            [[z["re"] + 1j * z["im"] for z in row] for row in u_spec]))
-    elif isinstance(u_spec, dict) and "seed" in u_spec:
-        u = random_symmetric_unitary(n, make_rng(u_spec["seed"]))
-    else:
-        u = SymmetricUnitary(matrix=np.eye(n))
-    cfg = GameConfig(u=u, **raw)
+    try:
+        u_spec = raw.pop("u", None)
+        n = int(raw["n"])
+        if isinstance(u_spec, list):
+            u = SymmetricUnitary(matrix=np.array(
+                [[z["re"] + 1j * z["im"] for z in row] for row in u_spec]))
+        elif isinstance(u_spec, dict) and "seed" in u_spec:
+            u = random_symmetric_unitary(n, make_rng(u_spec["seed"]))
+        else:
+            u = SymmetricUnitary(matrix=np.eye(n))
+        cfg = GameConfig(u=u, **raw)
+    except KeyError as exc:
+        raise ValidationError(f"game config lacks {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:   # unknown keys, bad values
+        raise ValidationError(f"malformed game config: {exc}") from exc
     result = run_game(cfg, keep_log=args.log is not None)
     if args.log:
         with open(args.log, "w") as fh:
@@ -364,6 +372,9 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"input/output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

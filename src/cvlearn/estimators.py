@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ValidationError
-from .measurements import MeasurementRecord
+from .measurements import MeasurementRecord, phase_matrix
 
 SCHEMES = ("bell_chi2", "bell_chi", "heterodyne", "classicality_aware")
 
@@ -103,16 +103,16 @@ def plan_samples(scheme: str, inputs: PlannerInputs) -> int:
 # Phase-factor means (shared vectorized core)
 # ---------------------------------------------------------------------------
 
-def _phase_factor_sums(outcomes: np.ndarray, mat_re: np.ndarray, mat_im: np.ndarray,
-                       dtype, chunk: int) -> np.ndarray:
-    """sum_j e^{2 i (Re(z_j) mat_re + Im(z_j) mat_im)} column-wise.
+def _phase_factor_sums(outcomes: np.ndarray, freqs: np.ndarray, dtype,
+                       chunk: int) -> np.ndarray:
+    """sum_j e^{i Im(z_j . f)} for each row f of `freqs`, via `phase_matrix`.
 
     One real matmul per sample block; in-place trig on reused buffers keeps
     the hot path allocation-free, with float64 accumulation of column sums.
     """
     n_samp, n_modes = outcomes.shape
-    m = mat_re.shape[1]
-    mat = np.concatenate([2.0 * mat_re, 2.0 * mat_im]).astype(dtype)
+    mat = phase_matrix(freqs).astype(dtype)
+    m = mat.shape[1]
     acc = np.zeros(m, dtype=complex)
     parts = phases = cos_buf = None
     for lo in range(0, n_samp, chunk):
@@ -136,22 +136,22 @@ def chi_squared_means(outcomes: np.ndarray, alphas: np.ndarray,
                       dtype=np.float64, chunk: int = 1 << 20) -> np.ndarray:
     """(1/N) sum_j e^{-(zeta_j . a - zeta_j* . a*)} for each row a of `alphas`.
 
-    The summand is e^{-2i Im(zeta . a)} (unconjugated dot), modulus one.
+    The summand is e^{-2i Im(zeta . a)} (unconjugated dot), modulus one: the
+    conjugate of the phase factor at frequency 2a.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
-    # Im(zeta . a) = Re(z).Im(a) + Im(z).Re(a); conjugate the sum for the -2i sign.
-    sums = _phase_factor_sums(outcomes, np.imag(alphas).T, np.real(alphas).T,
-                              dtype, chunk)
+    sums = _phase_factor_sums(outcomes, 2.0 * alphas, dtype, chunk)
     return np.conj(sums) / outcomes.shape[0]
 
 
 def chi_heterodyne_means(outcomes: np.ndarray, alphas: np.ndarray,
                          dtype=np.float64, chunk: int = 1 << 20) -> np.ndarray:
-    """e^{|a|^2/2} (1/N) sum_j e^{zeta_j^dag a - a^dag zeta_j} per query row."""
+    """e^{|a|^2/2} (1/N) sum_j e^{zeta_j^dag a - a^dag zeta_j} per query row.
+
+    2 Im(zeta^dag a) = Im(zeta . (-2 a*)), the phase at frequency -2 a*.
+    """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
-    # Im(zeta^dag a) = Re(z).Im(a) - Im(z).Re(a)
-    sums = _phase_factor_sums(outcomes, np.imag(alphas).T, -np.real(alphas).T,
-                              dtype, chunk)
+    sums = _phase_factor_sums(outcomes, -2.0 * np.conj(alphas), dtype, chunk)
     boost = np.exp(0.5 * np.sum(np.abs(alphas) ** 2, axis=1))
     return boost * sums / outcomes.shape[0]
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ValidationError
+from .estimators import chi_heterodyne_means, chi_squared_means
 from .measurements import SignedGaussianMixture, bell_mixture, heterodyne_mixture
 from .numerics import (
     SymmetricUnitary,
@@ -30,6 +31,7 @@ from .states import (
     apply_circuit,
     bell_partner,
     char_fn,
+    filter_variances,
     make_five_peak,
     make_thermal,
     make_three_peak,
@@ -71,7 +73,7 @@ class GameConfig:
             object.__setattr__(self, "u", SymmetricUnitary(matrix=np.eye(self.n)))
         if self.u.n != self.n:
             raise ValidationError("unitary dimension does not match the mode count")
-        sigma2 = 0.5 * (1.0 / self.nu - self.nu)
+        sigma2 = filter_variances(self.nu)[0]
         if self.sigma_gamma2 < sigma2:
             raise ValidationError(
                 f"sigma_gamma^2 = {self.sigma_gamma2:.4g} < sigma^2 = {sigma2:.4g}: "
@@ -146,18 +148,14 @@ def five_peak_window_indicator(gamma: np.ndarray, v: np.ndarray, sigma2: float,
 
 
 def _three_peak_gap(cfg: GameConfig, gamma: np.ndarray) -> float:
-    nu = cfg.nu
-    sigma2 = 0.5 * (1.0 / nu - nu)
-    Sigma2 = (1.0 + nu) / (1.0 - nu)
+    sigma2, Sigma2 = filter_variances(cfg.nu)
     g2 = float(np.sum(np.abs(gamma) ** 2))
     return (2.0 * cfg.eps0 * math.exp(-g2 / Sigma2)
             * (1.0 - math.exp(-2.0 * g2 / sigma2)))
 
 
 def _five_peak_gap(cfg: GameConfig, gamma: np.ndarray, v: np.ndarray) -> float:
-    nu = cfg.nu
-    sigma2 = 0.5 * (1.0 / nu - nu)
-    Sigma2 = (1.0 + nu) / (1.0 - nu)
+    sigma2, Sigma2 = filter_variances(cfg.nu)
     gp = np.conj(v).T @ gamma
     r2 = float(np.sum(np.real(gp) ** 2))
     i2 = float(np.sum(np.imag(gp) ** 2))
@@ -171,7 +169,8 @@ def _five_peak_gap(cfg: GameConfig, gamma: np.ndarray, v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _as_blocks(obj, n_copies):
-    if isinstance(obj, SignedGaussianMixture):
+    """[(density, count), ...] from one density (or (plus, minus) pair) or blocks."""
+    if isinstance(obj, (SignedGaussianMixture, tuple)):
         return [(obj, n_copies)]
     blocks = list(obj)
     if sum(c for _, c in blocks) != n_copies:
@@ -192,11 +191,7 @@ def tvd_pair(density0, density_mixture, n_copies: int, gamma_draws,
     blocks0 = _as_blocks(density0, n_copies)
     per_gamma = []
     for gamma in gamma_draws:
-        pm = density_mixture(np.asarray(gamma, dtype=complex))
-        if isinstance(pm, tuple):
-            pm_blocks = [(pm, n_copies)]
-        else:
-            pm_blocks = list(pm)
+        pm_blocks = _as_blocks(density_mixture(np.asarray(gamma, dtype=complex)), n_copies)
         if len(pm_blocks) != len(blocks0) or \
                 any(c0 != c1 for (_, c0), (_, c1) in zip(blocks0, pm_blocks)):
             raise ValidationError("mixture blocks must align with the null blocks")
@@ -240,20 +235,20 @@ def _order_counts(cfg: GameConfig):
     return pattern.count("o"), pattern.count("r")
 
 
+def _bell_mixture(cfg: GameConfig, state: PeakState) -> SignedGaussianMixture:
+    """Bell density of the state with its partner: the circuit-propagated copy
+    for the reflection-symmetric five-peak family, else the reflected state."""
+    partner = (apply_circuit(state, cfg.u) if cfg.family == "five_peak"
+               else bell_partner(state, cfg.u))
+    return bell_mixture(state, partner)
+
+
 def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
     """Play `trials` rounds; success counts exact hypothesis identification."""
     thermal = make_thermal(cfg.n, cfg.nu)
     v = takagi_decompose(cfg.u).v if cfg.family == "five_peak" else None
     sigma2 = thermal.sigma2
     n_o, n_r = _order_counts(cfg)
-
-    chi0_cache = {}
-
-    def chi0_at(point):
-        key = point.tobytes()
-        if key not in chi0_cache:
-            chi0_cache[key] = complex(char_fn(thermal, point))
-        return chi0_cache[key]
 
     correct = 0
     window_hits = 0
@@ -279,44 +274,32 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
 
         if cfg.bob == "random" or not in_window:
             decision = bool(rng.random() < 0.5)
-            entry.update(decision="peaked" if decision else "thermal", used_estimate=False)
+            entry.update(used_estimate=False)
         elif cfg.bob == "ef_heterodyne":
-            est_parts = []
+            est = 0j
             if n_o:
                 z = heterodyne_mixture(state).sample(n_o, rng, dtype=np.float32)
-                phases = 2.0 * np.imag(np.conj(z) @ gamma)
-                est_parts.append((n_o, np.mean(np.exp(1j * phases))
-                                  * math.exp(0.5 * float(np.sum(np.abs(gamma) ** 2)))))
-            if n_r:
-                refl = reflect(state, cfg.u)
-                point = cfg.u.matrix @ np.conj(gamma)
-                z = heterodyne_mixture(refl).sample(n_r, rng, dtype=np.float32)
-                phases = 2.0 * np.imag(np.conj(z) @ point)
-                est_parts.append((n_r, np.mean(np.exp(1j * phases))
-                                  * math.exp(0.5 * float(np.sum(np.abs(point) ** 2)))))
-            est = sum(c * e for c, e in est_parts) / cfg.copies
-            stat = abs(est - chi0_at(gamma))
-            decision = stat > gap / 2.0
-            entry.update(decision="peaked" if decision else "thermal",
-                         used_estimate=True, estimate=[est.real, est.imag],
+                est += n_o * chi_heterodyne_means(z, gamma)[0]
+            if n_r:  # a reflected copy's chi at U gamma* equals chi at gamma
+                z = heterodyne_mixture(reflect(state, cfg.u)).sample(n_r, rng,
+                                                                     dtype=np.float32)
+                est += n_r * chi_heterodyne_means(z, cfg.u.matrix @ np.conj(gamma))[0]
+            est = complex(est) / cfg.copies
+            decision = abs(est - complex(char_fn(thermal, gamma))) > gap / 2.0
+            entry.update(used_estimate=True, estimate=[est.real, est.imag],
                          threshold=gap / 2.0)
         else:  # ea_bell
-            partner = (apply_circuit(state, cfg.u) if cfg.family == "five_peak"
-                       else bell_partner(state, cfg.u))
-            mix = bell_mixture(state, partner)
-            z = mix.sample(cfg.copies, rng, dtype=np.float32)
-            v_hat = complex(np.mean(np.exp(-2j * np.imag(z @ gamma))))
-            chi0 = chi0_at(gamma)
+            z = _bell_mixture(cfg, state).sample(cfg.copies, rng, dtype=np.float32)
+            v_hat = complex(chi_squared_means(z, gamma)[0])
+            chi0 = complex(char_fn(thermal, gamma))
             gap2 = gap * math.sqrt(gap * gap + 4.0 * abs(chi0) ** 2)
-            stat = abs(v_hat - chi0 ** 2)
-            decision = stat > gap2 / 2.0
-            entry.update(decision="peaked" if decision else "thermal",
-                         used_estimate=True, estimate=[v_hat.real, v_hat.imag],
+            decision = abs(v_hat - chi0 ** 2) > gap2 / 2.0
+            entry.update(used_estimate=True, estimate=[v_hat.real, v_hat.imag],
                          threshold=gap2 / 2.0)
 
         ok = decision == peaked
         correct += ok
-        entry["correct"] = bool(ok)
+        entry.update(decision="peaked" if decision else "thermal", correct=bool(ok))
         if keep_log:
             log.append(entry)
 
@@ -339,9 +322,7 @@ def _strategy_tvd(cfg: GameConfig, thermal: PeakState):
 
     if cfg.bob == "ef_heterodyne":
         q0 = heterodyne_mixture(thermal)
-        blocks0 = [(q0, n_o)] if n_r == 0 else [(q0, n_o), (q0, n_r)]
-        if n_o == 0:
-            blocks0 = [(q0, n_r)]
+        blocks0 = [(q0, count) for count in (n_o, n_r) if count]
 
         def pm(gamma):
             plus = _make_state(cfg, gamma)
@@ -356,16 +337,9 @@ def _strategy_tvd(cfg: GameConfig, thermal: PeakState):
 
         return tvd_pair(blocks0, pm, cfg.copies, gammas, cfg.tvd_mc_samples, rng)
 
-    def partner_of(state):
-        return (apply_circuit(state, cfg.u) if cfg.family == "five_peak"
-                else bell_partner(state, cfg.u))
-
-    p0 = bell_mixture(thermal, partner_of(thermal))
-
     def pm(gamma):
-        plus = _make_state(cfg, gamma)
-        minus = _make_state(cfg, -gamma)
-        return (bell_mixture(plus, partner_of(plus)),
-                bell_mixture(minus, partner_of(minus)))
+        return (_bell_mixture(cfg, _make_state(cfg, gamma)),
+                _bell_mixture(cfg, _make_state(cfg, -gamma)))
 
-    return tvd_pair(p0, pm, cfg.copies, gammas, cfg.tvd_mc_samples, rng)
+    return tvd_pair(_bell_mixture(cfg, thermal), pm, cfg.copies, gammas,
+                    cfg.tvd_mc_samples, rng)

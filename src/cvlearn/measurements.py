@@ -1,15 +1,15 @@
 """Exact outcome densities and samplers for the CV Bell measurement and
 heterodyne detection on peak states.
 
-Both densities are symplectic Fourier transforms of finite Gaussian sums, so
-they are themselves finite signed mixtures of one shared isotropic Gaussian
-times phase-space oscillations:
-
-    p(zeta) = N_V(zeta) * [ c0 + sum_j 2 Re( amp_j e^{i Im(osc_j . zeta)} ) ],
-
-with N_V the normalized 2n-dim Gaussian of per-coordinate variance V and
-`.` the unconjugated dot product. Dropping the oscillations and taking
-moduli gives a dominating envelope, which makes rejection sampling exact.
+Both densities are an isotropic 2n-dim Gaussian N_V (per-coordinate variance
+V) times a bracket in one phasor per peak, e_j(zeta) = exp(i Im(f_j . zeta))
+with `.` the unconjugated dot product: linear, sum_j c_j e_j, for heterodyne;
+quadratic, e^T C e, for Bell, whose oscillations are the pair sums f_j + f_k.
+Hermitian pairing makes a partner's phasor the conjugate, so the bracket is a
+real quadratic form in one cos/sin per +/- peak pair. `phase_matrix` is the
+one definition of the phase map Im(zeta . f), shared with the estimators.
+Dropping the oscillations and taking moduli gives a dominating envelope,
+which makes rejection sampling exact.
 """
 
 from __future__ import annotations
@@ -20,167 +20,124 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, NumericFailure
-from .states import PeakState, char_fn
+from .numerics import make_rng
+from .states import PeakState, char_fn, merge_coincident
 
 ENVELOPE_GUARD = {np.float64: 1e-9, np.float32: 3e-6}
+PAIR_TOL = 1e-10    # |f_j + f_partner| and |Im Q| allowed by Hermitian pairing
+
+
+def phase_matrix(freqs) -> np.ndarray:
+    """The (2n, k) real matrix Phi with [Re z | Im z] @ Phi = Im(z . f_j).
+
+    Column j belongs to row f_j of `freqs` (k, n); `.` is the unconjugated
+    dot product, so Phi stacks Im f over Re f.
+    """
+    f = np.atleast_2d(np.asarray(freqs, dtype=complex))
+    return np.concatenate([f.imag.T, f.real.T])
 
 
 class SignedGaussianMixture:
-    """Signed mixture sharing one centered Gaussian profile.
+    """N_V(zeta) times a bracket in the peak phasors e_j = exp(i Im(f_j . zeta)).
 
-    `amps`/`oscs` hold the full signed term list; construction merges
-    coincident oscillation vectors and pairs (amp, osc) with (amp*, -osc) so
-    evaluation touches each conjugate pair once. The normalization audit
-    integral must come out at 1 for a probability density.
+    `freqs` (k, n) holds one frequency per peak; `coefs` (k,) gives the linear
+    bracket sum_j c_j e_j, `coefs` (k, k) the quadratic e^T C e. Each nonzero
+    f_j needs a partner -f_j; construction folds the bracket once into x^T Q x
+    with x = [1, cos th_1, sin th_1, ..., cos th_R, sin th_R], one angle per
+    +/- pair. The envelope mass is the sum of moduli of the term amplitudes
+    with coincident oscillations merged; the normalization audit must give 1.
     """
 
-    def __init__(self, n: int, variance: float, amps, oscs, audit_tol: float = 1e-6):
+    def __init__(self, n: int, variance: float, freqs, coefs, audit_tol: float = 1e-6):
         self.n = int(n)
         self.variance = float(variance)
-        amps = np.asarray(amps, dtype=complex).reshape(-1)
-        oscs = np.asarray(oscs, dtype=complex).reshape(len(amps), self.n)
-        amps, oscs = self._merge(amps, oscs)
-        self.amps = amps
-        self.oscs = oscs
-        self._build_fast_path()
-        self.normalization_audit = float(np.real(
-            np.sum(self.amps * np.exp(-0.5 * self.variance
-                                      * np.sum(np.abs(self.oscs) ** 2, axis=1)))))
+        self.freqs = np.asarray(freqs, dtype=complex).reshape(-1, self.n)
+        self.coefs = np.asarray(coefs, dtype=complex)
+        self._build_form()
+        # The full term list: one oscillation per peak, or per ordered peak pair.
+        oscs = (self.freqs if self.coefs.ndim == 1
+                else (self.freqs[:, None] + self.freqs[None]).reshape(-1, self.n))
+        amps, oscs = merge_coincident(self.coefs.reshape(-1), oscs, drop=1e-16)
+        self.envelope_mass = float(np.sum(np.abs(amps)))
+        self.normalization_audit = float(np.real(np.sum(
+            amps * np.exp(-0.5 * self.variance * np.sum(np.abs(oscs) ** 2, axis=1)))))
         if abs(self.normalization_audit - 1.0) > audit_tol:
             raise NumericFailure(
                 f"mixture normalization audit failed: integral = {self.normalization_audit}")
 
-    @staticmethod
-    def _merge(amps, oscs):
-        out_a: list[complex] = []
-        out_o: list[np.ndarray] = []
-        for a, o in zip(amps, oscs):
-            for i, oo in enumerate(out_o):
-                if np.linalg.norm(o - oo) <= 1e-12:
-                    out_a[i] += a
-                    break
-            else:
-                out_a.append(complex(a))
-                out_o.append(np.asarray(o, dtype=complex))
-        keep = [i for i, a in enumerate(out_a) if abs(a) > 1e-16]
-        n = oscs.shape[1]
-        return (np.array([out_a[i] for i in keep], dtype=complex),
-                np.array([out_o[i] for i in keep], dtype=complex).reshape(len(keep), n))
-
-    def _build_fast_path(self):
-        zero = [i for i in range(len(self.amps))
-                if np.linalg.norm(self.oscs[i]) <= 1e-14]
-        c0 = complex(np.sum(self.amps[zero]))
-        if abs(c0.imag) > 1e-9:
-            raise NumericFailure("zero-frequency coefficient is not real; broken Hermitian pairing")
-        used = set(zero)
-        half_a, half_o = [], []
-        for i in range(len(self.amps)):
-            if i in used:
-                continue
-            partner = None
-            for j in range(len(self.amps)):
-                if j in used or j == i:
-                    continue
-                if (np.linalg.norm(self.oscs[j] + self.oscs[i]) <= 1e-10
-                        and abs(self.amps[j] - np.conj(self.amps[i])) <= 1e-10):
-                    partner = j
-                    break
-            if partner is None:
-                raise NumericFailure("oscillation term lacks its conjugate partner")
-            used.update((i, partner))
-            half_a.append(self.amps[i])
-            half_o.append(self.oscs[i])
-        self._c0 = c0.real
-        self._half_amps = np.array(half_a, dtype=complex)
-        self._half_oscs = (np.array(half_o, dtype=complex).reshape(len(half_a), self.n))
-        # Split the canonical terms into base oscillations and exact second
-        # harmonics (osc_j = 2 osc_i), which peak-pair mixtures always carry;
-        # the harmonic's trig comes free from the base angle.
-        k = len(self._half_amps)
-        parent_of = {}
-        for i in range(k):
-            for j in range(k):
-                if j != i and np.linalg.norm(
-                        self._half_oscs[i] - 2.0 * self._half_oscs[j]) <= 1e-12:
-                    parent_of[i] = j
-                    break
-        # a parent must itself be a base term; break chains conservatively
-        base = [i for i in range(k)
-                if i not in parent_of or parent_of[i] in parent_of]
-        second = {parent_of[i]: i for i in parent_of if parent_of[i] not in parent_of}
-        self._amp1 = np.array([self._half_amps[i] for i in base], dtype=complex)
-        self._amp2 = np.array([self._half_amps[second[i]] if i in second else 0.0
-                               for i in base], dtype=complex)
-        base_oscs = (np.array([self._half_oscs[i] for i in base], dtype=complex)
-                     .reshape(len(base), self.n))
-        # Im(osc . zeta) = Re(zeta).Im(osc) + Im(zeta).Re(osc), split per block.
-        self._mat_re = np.ascontiguousarray(np.imag(base_oscs).T)
-        self._mat_im = np.ascontiguousarray(np.real(base_oscs).T)
-        self._mats32 = (self._mat_re.astype(np.float32), self._mat_im.astype(np.float32))
-        # envelope mass: oscillations dropped, amplitudes replaced by moduli
-        self.envelope_mass = float(abs(self._c0) + 2.0 * np.sum(np.abs(self._half_amps)))
+    def _build_form(self):
+        """Pair the peaks and fold the bracket into the real form x^T Q x."""
+        f = self.freqs
+        zero = np.linalg.norm(f, axis=1) <= PAIR_TOL
+        dist = np.linalg.norm(f[:, None] + f[None], axis=2)
+        partner = np.argmin(dist, axis=1)
+        idx = np.arange(len(f))
+        if np.any(~zero & ((dist.min(axis=1) > PAIR_TOL) | (partner[partner] != idx))):
+            raise NumericFailure("oscillation term lacks its conjugate partner")
+        reps = np.flatnonzero(~zero & (idx < partner))
+        cos_col = 1 + 2 * np.arange(len(reps))
+        sin_col = cos_col + 1
+        # e = P x with e_zero = 1, e_rep = cos + i sin and e_partner = conj(e_rep)
+        p = np.zeros((len(f), 1 + 2 * len(reps)), dtype=complex)
+        p[zero, 0] = 1.0
+        p[reps, cos_col] = 1.0
+        p[reps, sin_col] = 1j
+        p[partner[reps]] = np.conj(p[reps])
+        if self.coefs.ndim == 1:   # sum_j c_j e_j = x_0 (c^T P x)
+            q = np.outer(np.eye(1, p.shape[1]), self.coefs @ p)
+        else:
+            q = p.T @ self.coefs @ p
+        q = 0.5 * (q + q.T)
+        if np.max(np.abs(q.imag)) > PAIR_TOL:
+            raise NumericFailure("mixture bracket is not real; broken Hermitian pairing")
+        q = q.real
+        # cos^2 + sin^2 = 1 folds every sin^2 coefficient into the constant.
+        q[0, 0] += np.sum(q[sin_col, sin_col])
+        q[cos_col, cos_col] -= q[sin_col, sin_col]
+        q[sin_col, sin_col] = 0.0
+        self._const = q[0, 0]
+        # The terms c x_a x_b of x^T Q x (a <= b, x_0 = 1) that survive cancellation.
+        m = len(q)
+        self._terms = [(a, b, q[a, b] * (1.0 if a == b else 2.0))
+                       for a in range(m) for b in range(max(a, 1), m) if abs(q[a, b]) > 1e-16]
+        self._phase = phase_matrix(f[reps])
 
     # -- evaluation ---------------------------------------------------------
-    def _bracket_parts(self, re: np.ndarray, im: np.ndarray,
-                       work: dict | None = None) -> np.ndarray:
-        """Bracket from split real/imag sample blocks, in their own dtype.
-
-        `work` optionally carries reusable buffers across repeated batches.
-        """
-        if len(self._amp1) == 0:
-            return np.full(re.shape[0], self._c0, dtype=re.dtype)
-        f32 = re.dtype == np.float32
-        mat_re, mat_im = self._mats32 if f32 else (self._mat_re, self._mat_im)
-        rows, cols = re.shape[0], mat_re.shape[1]
-        if work is None:
-            work = {}
-        if work.get("rows") != rows:
-            work.update(rows=rows,
-                        phases=np.empty((rows, cols), dtype=re.dtype),
-                        c=np.empty(rows, dtype=re.dtype),
-                        s=np.empty(rows, dtype=re.dtype),
-                        out=np.empty(rows, dtype=re.dtype))
-        phases, cbuf, sbuf = work["phases"], work["c"], work["s"]
-        np.matmul(re, mat_re, out=phases)
-        phases += im @ mat_im
-        out = work["out"]
-        out[:] = self._c0
-        for b in range(cols):
-            col = np.ascontiguousarray(phases[:, b])
-            np.cos(col, out=cbuf)
-            np.sin(col, out=sbuf)
-            a1, a2 = self._amp1[b], self._amp2[b]
-            out += (2.0 * a1.real) * cbuf
-            if a1.imag != 0.0:
-                out -= (2.0 * a1.imag) * sbuf
-            if a2 != 0.0:
-                # angle doubling: cos 2x = c^2 - s^2, sin 2x = 2 c s
-                out += (2.0 * a2.real) * (cbuf * cbuf - sbuf * sbuf)
-                if a2.imag != 0.0:
-                    out -= (4.0 * a2.imag) * (cbuf * sbuf)
+    def _bracket(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """x^T Q x at outcomes re + i im (each (m, n)), in their own dtype."""
+        dt = re.dtype.type
+        out = np.full(re.shape[0], self._const, dtype=dt)
+        if not self._terms:
+            return out
+        phase = self._phase.astype(dt)
+        theta = re @ phase[:self.n]
+        theta += im @ phase[self.n:]
+        x = [None]   # x_0 = 1 never multiplies: terms with a = 0 are linear
+        for col in theta.T:
+            col = np.ascontiguousarray(col)
+            x += [np.cos(col), np.sin(col)]
+        for a, b, c in self._terms:
+            term = dt(c) * x[b]
+            if a:
+                term *= x[a]
+            out += term
         return out
 
-    def _bracket(self, zeta: np.ndarray) -> np.ndarray:
-        """c0 + sum_j 2 Re(amp_j e^{i Im(osc_j . zeta)}) for a batch (m, n)."""
-        return self._bracket_parts(np.ascontiguousarray(zeta.real),
-                                   np.ascontiguousarray(zeta.imag))
+    def _log_gauss_and_bracket(self, zeta):
+        z = np.atleast_2d(np.asarray(zeta, dtype=complex))
+        log_gauss = (-np.sum(np.abs(z) ** 2, axis=1) / (2.0 * self.variance)
+                     - self.n * np.log(2.0 * np.pi * self.variance))
+        return log_gauss, self._bracket(z.real, z.imag)
 
     def value(self, zeta) -> np.ndarray:
         """Density values at a batch (m, n) of outcomes; real, >= -1e-9."""
-        z = np.atleast_2d(np.asarray(zeta, dtype=complex))
-        norm2 = np.sum(np.abs(z) ** 2, axis=1)
-        gauss = np.exp(-norm2 / (2.0 * self.variance)) \
-            / (2.0 * np.pi * self.variance) ** self.n
-        return gauss * self._bracket(z)
+        log_gauss, bracket = self._log_gauss_and_bracket(zeta)
+        return np.exp(log_gauss) * bracket
 
     def log_value(self, zeta) -> np.ndarray:
         """log density, stable for product accumulation over many copies."""
-        z = np.atleast_2d(np.asarray(zeta, dtype=complex))
-        norm2 = np.sum(np.abs(z) ** 2, axis=1)
-        bracket = np.maximum(self._bracket(z), 1e-300)
-        return (-norm2 / (2.0 * self.variance)
-                - self.n * np.log(2.0 * np.pi * self.variance) + np.log(bracket))
+        log_gauss, bracket = self._log_gauss_and_bracket(zeta)
+        return log_gauss + np.log(np.maximum(bracket, 1e-300))
 
     # -- sampling -----------------------------------------------------------
     def sample(self, count: int, rng: np.random.Generator,
@@ -188,9 +145,12 @@ class SignedGaussianMixture:
         """Exact draws by rejection against the oscillation-free envelope."""
         if count < 1:
             raise ValidationError(f"count must be >= 1, got {count}")
-        guard = ENVELOPE_GUARD[np.dtype(dtype).type]
-        scale = np.dtype(dtype).type(np.sqrt(self.variance))
-        inv_mass = np.dtype(dtype).type(1.0 / self.envelope_mass)
+        dt = np.dtype(dtype).type
+        if dt not in ENVELOPE_GUARD:
+            raise ValidationError(f"sampler dtype must be float32 or float64, got {dt.__name__}")
+        guard = ENVELOPE_GUARD[dt]
+        scale = dt(np.sqrt(self.variance))
+        inv_mass = dt(1.0 / self.envelope_mass)
         out = np.empty((count, self.n),
                        dtype=np.complex64 if dtype == np.float32 else complex)
         filled = 0
@@ -199,13 +159,12 @@ class SignedGaussianMixture:
         re = np.empty((batch, self.n), dtype=dtype)
         im = np.empty((batch, self.n), dtype=dtype)
         u = np.empty(batch, dtype=dtype)
-        work: dict = {}
         while filled < count:
             rng.standard_normal(out=re, dtype=dtype)
             rng.standard_normal(out=im, dtype=dtype)
             re *= scale
             im *= scale
-            ratio = self._bracket_parts(re, im, work)
+            ratio = self._bracket(re, im)
             ratio *= inv_mass
             if np.max(ratio) > 1.0 + guard:
                 raise NumericFailure(
@@ -229,9 +188,9 @@ def heterodyne_mixture(state: PeakState) -> SignedGaussianMixture:
     t = state.a + 0.5
     sig2 = state.sigma2
     abs2_g = np.sum(np.abs(state.centers) ** 2, axis=1)
-    amps = state.weights * np.exp((1.0 / (4.0 * t * sig2 ** 2) - state.a) * abs2_g)
-    oscs = np.conj(state.centers) / (t * sig2)
-    return SignedGaussianMixture(n=state.n, variance=t / 2.0, amps=amps, oscs=oscs)
+    coefs = state.weights * np.exp((1.0 / (4.0 * t * sig2 ** 2) - state.a) * abs2_g)
+    return SignedGaussianMixture(n=state.n, variance=t / 2.0,
+                                 freqs=np.conj(state.centers) / (t * sig2), coefs=coefs)
 
 
 def _validate_bell_pair(state: PeakState, partner: PeakState, tol: float = 1e-8):
@@ -260,6 +219,9 @@ def bell_mixture(state: PeakState, partner: PeakState) -> SignedGaussianMixture:
 
         amp = w_j w_k exp[-a(|g_j|^2+|g_k|^2) + |g_j+g_k|^2/(8 a sigma^4)],
         osc = (g_j + g_k)/(2 a sigma^2),          V = a.
+
+    The oscillation is f_j + f_k with f_j = g_j/(2 a sigma^2), so the bracket
+    is e^T C e in the peak phasors with C_jk = amp.
     """
     _validate_bell_pair(state, partner)
     a = state.a
@@ -267,13 +229,11 @@ def bell_mixture(state: PeakState, partner: PeakState) -> SignedGaussianMixture:
     w = state.weights
     g = state.centers
     abs2_g = np.sum(np.abs(g) ** 2, axis=1)
-    m = g[:, None, :] + g[None, :, :]                  # (k, k, n) pair sums
-    m2 = np.sum(np.abs(m) ** 2, axis=2)
-    amps = (w[:, None] * w[None, :]
-            * np.exp(-a * (abs2_g[:, None] + abs2_g[None, :]) + m2 / (8.0 * a * sig2 ** 2)))
-    oscs = m / (2.0 * a * sig2)
-    return SignedGaussianMixture(n=state.n, variance=a,
-                                 amps=amps.reshape(-1), oscs=oscs.reshape(-1, state.n))
+    m2 = np.sum(np.abs(g[:, None, :] + g[None, :, :]) ** 2, axis=2)
+    coefs = (w[:, None] * w[None, :]
+             * np.exp(-a * (abs2_g[:, None] + abs2_g[None, :]) + m2 / (8.0 * a * sig2 ** 2)))
+    return SignedGaussianMixture(n=state.n, variance=a, freqs=g / (2.0 * a * sig2),
+                                 coefs=coefs)
 
 
 def bell_density(state: PeakState, reflected_then_circuit: PeakState, zeta):
@@ -326,21 +286,32 @@ class MeasurementRecord:
 
     @staticmethod
     def read_jsonl(path) -> "MeasurementRecord":
+        """Load a record; the header must name scheme, n, seed and the row count."""
         with open(path) as fh:
-            header = json.loads(fh.readline())
-            rows = [json.loads(line) for line in fh if line.strip()]
-        n = int(header["n"])
-        data = np.array(rows, dtype=float).reshape(len(rows), n, 2)
+            header_line = fh.readline()
+            lines = [line for line in fh if line.strip()]
+        try:
+            header = json.loads(header_line)
+            scheme = header["scheme"]
+            n, count, seed = (int(header[k]) for k in ("n", "count", "seed"))
+            rows = [json.loads(line) for line in lines]
+            data = np.array(rows, dtype=float).reshape(len(rows), n, 2)
+        except KeyError as exc:
+            raise ValidationError(f"record header lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed measurement record {path}: {exc}") from exc
+        if len(rows) != count:
+            raise ValidationError(
+                f"record header says {count} outcomes but {len(rows)} rows follow")
         outcomes = data[..., 0] + 1j * data[..., 1]
-        return MeasurementRecord(scheme=header["scheme"], outcomes=outcomes,
+        return MeasurementRecord(scheme=scheme, outcomes=outcomes,
                                  state_descriptor=header.get("state_descriptor", {}),
-                                 seed=header.get("seed", 0), n=n)
+                                 seed=seed, n=n)
 
 
 def sample_bell(state: PeakState, reflected_then_circuit: PeakState, count: int,
                 seed: int, stream: int = 0, dtype=np.float64) -> MeasurementRecord:
     """i.i.d. Bell outcomes for `count` copies of the validated input pair."""
-    from .numerics import make_rng
     mix = bell_mixture(state, reflected_then_circuit)
     outcomes = mix.sample(count, make_rng(seed, stream), dtype=dtype)
     return MeasurementRecord(
@@ -352,7 +323,6 @@ def sample_bell(state: PeakState, reflected_then_circuit: PeakState, count: int,
 def sample_heterodyne(state: PeakState, count: int, seed: int, stream: int = 0,
                       dtype=np.float64) -> MeasurementRecord:
     """i.i.d. heterodyne outcomes from the Husimi Q density."""
-    from .numerics import make_rng
     mix = heterodyne_mixture(state)
     outcomes = mix.sample(count, make_rng(seed, stream), dtype=dtype)
     return MeasurementRecord(

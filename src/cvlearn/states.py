@@ -7,9 +7,10 @@ sum of real Gaussian kernels,
     chi(alpha) = sum_k w_k exp[ -(|alpha|^2+|gamma_k|^2)/(2 Sigma^2)
                                 - |gamma_k-alpha|^2/(2 sigma^2) ],
 
-with sigma^2 = (1/nu - nu)/2 and Sigma^2 = (1+nu)/(1-nu). Every s-ordered
-quasiprobability of such a state is again a finite sum of Gaussians times
-phase-space oscillations, evaluated here in closed form.
+with sigma^2 = (1/nu - nu)/2 and Sigma^2 = (1+nu)/(1-nu), both computed only
+in `filter_variances`. Every s-ordered quasiprobability of such a state is
+again a finite sum of Gaussians times phase-space oscillations, evaluated here
+in closed form.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ def _as_center_array(gamma, n: int) -> np.ndarray:
     return g
 
 
+def filter_variances(nu: float) -> tuple[float, float]:
+    """The thermal filter's (sigma^2, Sigma^2); the package's one copy of the formulas."""
+    return 0.5 * (1.0 / nu - nu), (1.0 + nu) / (1.0 - nu)
+
+
 @dataclass(frozen=True)
 class PeakState:
     """Immutable n-mode peak state; evaluators below are pure functions."""
@@ -55,7 +61,7 @@ class PeakState:
             raise ValidationError(f"nu must lie in (0, 1), got {self.nu}")
         w = np.atleast_1d(np.asarray(self.weights, dtype=complex))
         c = np.asarray(self.centers, dtype=complex).reshape(len(w), self.n)
-        w, c = _merge_peaks(w, c)
+        w, c = merge_coincident(w, c, drop=1e-15)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "centers", c)
         self._validate()
@@ -79,11 +85,11 @@ class PeakState:
     # -- derived thermal-filter parameters ---------------------------------
     @property
     def sigma2(self) -> float:
-        return 0.5 * (1.0 / self.nu - self.nu)
+        return filter_variances(self.nu)[0]
 
     @property
     def Sigma2(self) -> float:
-        return (1.0 + self.nu) / (1.0 - self.nu)
+        return filter_variances(self.nu)[1]
 
     @property
     def a(self) -> float:
@@ -151,23 +157,19 @@ class PeakState:
         return PeakState.from_json_dict(json.loads(s))
 
 
-def _merge_peaks(weights: np.ndarray, centers: np.ndarray):
-    """Coalesce coincident centers (summing weights) and drop null peaks."""
-    out_w: list[complex] = []
-    out_c: list[np.ndarray] = []
-    for w, g in zip(weights, centers):
-        for i, c in enumerate(out_c):
-            if np.linalg.norm(g - c) <= MERGE_TOL:
-                out_w[i] += w
-                break
-        else:
-            out_w.append(complex(w))
-            out_c.append(np.asarray(g, dtype=complex))
-    keep = [i for i, w in enumerate(out_w) if abs(w) > 1e-15]
-    w = np.array([out_w[i] for i in keep], dtype=complex)
-    c = (np.array([out_c[i] for i in keep], dtype=complex).reshape(len(keep), centers.shape[1])
-         if keep else np.zeros((0, centers.shape[1]), dtype=complex))
-    return w, c
+def merge_coincident(weights: np.ndarray, vectors: np.ndarray, drop: float):
+    """Sum the weights of vectors within MERGE_TOL of each other; drop |sum| <= drop.
+
+    Groups keep the order of their first member, whose vector they keep.
+    """
+    if len(weights) == 0:
+        return weights, vectors
+    near = np.linalg.norm(vectors[:, None] - vectors[None], axis=2) <= MERGE_TOL
+    first = np.argmax(near, axis=1)
+    summed = np.zeros(len(weights), dtype=complex)
+    np.add.at(summed, first, weights)
+    keep = (first == np.arange(len(weights))) & (np.abs(summed) > drop)
+    return summed[keep], vectors[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -213,3 +213,67 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["s_max"] > 0
+
+
+class TestInputErrors:
+    def _record_and_points(self, tmp_path):
+        rec = tmp_path / "rec.jsonl"
+        assert main(["sample", "--family", "thermal", "--nu", "0.5", "--scheme",
+                     "heterodyne", "--count", "10", "--seed", "1", "--out", str(rec)]) == 0
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([[{"re": 0.5, "im": 0.0}]]))
+        return rec, pts
+
+    def test_missing_record_is_2(self, tmp_path, capsys):
+        _, pts = self._record_and_points(tmp_path)
+        rc = main(["estimate", "--record", str(tmp_path / "nope.jsonl"), "--points",
+                   str(pts), "--scheme", "heterodyne", "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+        assert "nope.jsonl" in capsys.readouterr().err
+
+    def test_missing_points_is_2(self, tmp_path):
+        rec, _ = self._record_and_points(tmp_path)
+        rc = main(["estimate", "--record", str(rec), "--points", str(tmp_path / "nope"),
+                   "--scheme", "heterodyne", "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+
+    def test_malformed_points_is_2(self, tmp_path):
+        rec, pts = self._record_and_points(tmp_path)
+        pts.write_text("[[{")
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "heterodyne", "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+
+    def test_truncated_record_is_2(self, tmp_path):
+        rec, pts = self._record_and_points(tmp_path)
+        rec.write_text("".join(rec.read_text().splitlines(keepends=True)[:-1]))
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "heterodyne", "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+
+    def test_missing_state_is_2(self, tmp_path):
+        rc = main(["sample", "--state", str(tmp_path / "nope.json"), "--scheme", "bell",
+                   "--count", "10", "--seed", "1", "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+
+    def test_missing_config_is_2(self, tmp_path):
+        rc = main(["game", "run", "--config", str(tmp_path / "nope.json"),
+                   "--out", str(tmp_path / "g.json")])
+        assert rc == 2
+
+    def _game(self, tmp_path, cfg):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(cfg))
+        return main(["game", "run", "--config", str(cpath), "--out", str(tmp_path / "g.json")])
+
+    def test_unknown_game_key_is_2(self, tmp_path, capsys):
+        cfg = {"family": "three_peak", "n": 1, "nu": 0.9, "eps0": 0.25, "kappa": 2.0,
+               "copies": 10, "trials": 2, "estimate_tvd": False, "colour": "red"}
+        assert self._game(tmp_path, cfg) == 2
+        assert "colour" in capsys.readouterr().err
+
+    def test_game_config_without_n_is_2(self, tmp_path, capsys):
+        cfg = {"family": "three_peak", "nu": 0.9, "eps0": 0.25, "kappa": 2.0,
+               "copies": 10, "trials": 2}
+        assert self._game(tmp_path, cfg) == 2
+        assert "lacks 'n'" in capsys.readouterr().err

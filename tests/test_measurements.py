@@ -4,6 +4,7 @@ Quadrature of the defining integrals (n = 1) serves as the independent oracle
 for the closed-form mixtures; Monte Carlo moments check the samplers.
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from cvlearn.errors import ValidationError, NumericFailure
 from cvlearn.fock_oracle import build_state, husimi
 from cvlearn.measurements import (
     MeasurementRecord,
+    SignedGaussianMixture,
     bell_density,
     bell_mixture,
     heterodyne_density,
@@ -243,3 +245,108 @@ class TestEnvelopeAndRecords:
         with pytest.raises(ValidationError):
             MeasurementRecord(scheme="bell", outcomes=np.zeros((0, 1)),
                               state_descriptor={}, seed=0, n=1)
+
+
+def pair_terms(state, scheme):
+    """The signed term list (amps, oscs, variance) written out from the pair formula."""
+    a, s2 = state.a, state.sigma2
+    w, g = state.weights, state.centers
+    abs2 = np.sum(np.abs(g) ** 2, axis=1)
+    if scheme == "heterodyne":
+        t = a + 0.5
+        return (w * np.exp((1.0 / (4.0 * t * s2 ** 2) - a) * abs2),
+                np.conj(g) / (t * s2), t / 2.0)
+    amps, oscs = [], []
+    for j in range(len(w)):
+        for k in range(len(w)):
+            m = g[j] + g[k]
+            amps.append(w[j] * w[k] * np.exp(-a * (abs2[j] + abs2[k])
+                                             + np.sum(np.abs(m) ** 2) / (8.0 * a * s2 ** 2)))
+            oscs.append(m / (2.0 * a * s2))
+    return np.array(amps), np.array(oscs), a
+
+
+def merged_moduli_sum(amps, oscs):
+    groups = []
+    for amp, osc in zip(amps, oscs):
+        for grp in groups:
+            if np.linalg.norm(osc - grp[1]) <= 1e-12:
+                grp[0] += amp
+                break
+        else:
+            groups.append([complex(amp), osc])
+    return sum(abs(amp) for amp, _ in groups)
+
+
+class TestPhasorForm:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["three_peak", "five_peak"])
+    @pytest.mark.parametrize("scheme", ["bell", "heterodyne"])
+    def test_value_matches_direct_term_sum(self, n, family, scheme):
+        rng = make_rng(40 + n)
+        u = random_symmetric_unitary(n, rng)
+        g = 0.7 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        if family == "three_peak":
+            st = make_three_peak(n, 0.65, 0.2, g)
+            partner = bell_partner(st, u)
+        else:
+            st = make_five_peak(n, 0.65, 0.2, g, u)
+            partner = apply_circuit(st, u)
+        mix = bell_mixture(st, partner) if scheme == "bell" else heterodyne_mixture(st)
+        amps, oscs, var = pair_terms(st, scheme)
+        zeta = 1.3 * (rng.normal(size=(200, n)) + 1j * rng.normal(size=(200, n)))
+        gauss = (np.exp(-np.sum(np.abs(zeta) ** 2, axis=1) / (2.0 * var))
+                 / (2.0 * math.pi * var) ** n)
+        bracket = np.real(np.exp(1j * np.imag(zeta @ oscs.T)) @ amps)
+        assert np.max(np.abs(mix.value(zeta) - gauss * bracket)) < 1e-12
+        assert mix.envelope_mass == pytest.approx(merged_moduli_sum(amps, oscs), abs=1e-12)
+
+    def test_unpaired_frequency_rejected(self):
+        with pytest.raises(NumericFailure, match="conjugate partner"):
+            SignedGaussianMixture(n=1, variance=1.0, freqs=[[0.0], [0.5]], coefs=[1.0, 0.1])
+
+    def test_unpaired_coefficients_rejected(self):
+        # paired frequencies, but c_{-f} != conj(c_f): the bracket is not real
+        with pytest.raises(NumericFailure, match="not real"):
+            SignedGaussianMixture(n=1, variance=1.0, freqs=[[0.0], [0.5], [-0.5]],
+                                  coefs=[1.0, 0.1j, 0.1j])
+
+    def test_unsupported_sample_dtype_rejected(self):
+        mix = heterodyne_mixture(make_thermal(1, 0.5))
+        with pytest.raises(ValidationError, match="float32 or float64"):
+            mix.sample(10, make_rng(0), dtype=np.float16)
+
+
+class TestRecordChecks:
+    def _write(self, path, header, rows):
+        with open(path, "w") as fh:
+            fh.write(json.dumps(header) + "\n")
+            for row in rows:
+                fh.write(json.dumps(row) + "\n")
+
+    def _header(self, drop=None):
+        h = {"scheme": "heterodyne", "n": 1, "seed": 3, "count": 4, "state_descriptor": {}}
+        h.pop(drop, None)
+        return h
+
+    def test_truncated_record_rejected(self, tmp_path):
+        path = tmp_path / "rec.jsonl"
+        rec = sample_heterodyne(make_thermal(1, 0.5), 1000, seed=1)
+        rec.write_jsonl(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:500]))     # header + 499 rows
+        with pytest.raises(ValidationError, match="1000 outcomes but 499"):
+            MeasurementRecord.read_jsonl(path)
+
+    @pytest.mark.parametrize("key", ["seed", "n", "scheme", "count"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        path = tmp_path / "rec.jsonl"
+        self._write(path, self._header(drop=key), [[0.1, 0.2]] * 4)
+        with pytest.raises(ValidationError, match=f"lacks '{key}'"):
+            MeasurementRecord.read_jsonl(path)
+
+    def test_malformed_row_rejected(self, tmp_path):
+        path = tmp_path / "rec.jsonl"
+        self._write(path, self._header(), [[0.1, 0.2]] * 3 + [[0.1]])
+        with pytest.raises(ValidationError, match="malformed"):
+            MeasurementRecord.read_jsonl(path)
