@@ -58,6 +58,7 @@ from .estimators import (
     estimate_chi_classicality_aware,
     estimate_chi_heterodyne,
     estimate_chi_squared,
+    estimate_record,
     plan_samples,
     resolve_sign,
 )

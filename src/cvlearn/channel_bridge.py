@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import psd_check
-from .states import PeakState, char_fn, classicality_smax
+from .states import PeakState, char_fn, classicality_smax, three_peak_plus
 
 VALID = "valid (Bochner spot checks passed)"
 UNKNOWN = "unknown (outside the r >= r* guarantee; no violation found)"
@@ -101,11 +101,8 @@ def choi_char(spec: ChannelSpec, alpha, beta):
 def _state_smax(state: PeakState) -> float | None:
     if len(state.weights) == 1:
         return 1.0
-    if state.eps0 is not None and len(state.weights) == 3:
-        for w, c in zip(state.weights, state.centers):
-            if w.imag > 1e-14:
-                return classicality_smax(state.nu, state.eps0, c).s_max
-    return None
+    g = three_peak_plus(state)
+    return None if g is None else classicality_smax(state.nu, state.eps0, g).s_max
 
 
 def bochner_check(lam, points, tol: float = 1e-8):

@@ -21,13 +21,7 @@ from . import fock_oracle
 from .bounds import BOUND_FAMILIES, BoundInputs, CONSTANTS_VERSION, emit_curves
 from .channel_bridge import lambda_from_state
 from .errors import NumericFailure, ValidationError
-from .estimators import (
-    estimate_chi_classicality_aware,
-    estimate_chi_heterodyne,
-    estimate_chi_squared,
-    resolve_sign,
-    EstimateReport,
-)
+from .estimators import estimate_record
 from .game import GameConfig, run_game
 from .measurements import MeasurementRecord, sample_bell, sample_heterodyne
 from .numerics import SymmetricUnitary, make_rng, random_symmetric_unitary
@@ -41,6 +35,7 @@ from .states import (
     make_three_peak,
     mean_photon,
     s_qpd,
+    three_peak_plus,
     wigner,
 )
 
@@ -75,11 +70,21 @@ def _dump_json(path, payload):
         fh.write("\n")
 
 
+def _complex_rows(raw, what: str) -> np.ndarray:
+    """A JSON list of rows of {"re", "im"} objects as a nonempty 2-D complex array."""
+    try:
+        m = np.array([[z["re"] + 1j * z["im"] for z in row] for row in raw], dtype=complex)
+        if m.ndim != 2 or m.size == 0:
+            raise ValueError(f"got shape {m.shape}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{what} must be a list of rows of {{re, im}} objects: {exc!r}") from exc
+    return m
+
+
 def _load_unitary(args, n: int) -> SymmetricUnitary:
     if getattr(args, "u_file", None):
-        raw = _load_json(args.u_file)
-        m = np.array([[z["re"] + 1j * z["im"] for z in row] for row in raw])
-        return SymmetricUnitary(matrix=m)
+        return SymmetricUnitary(matrix=_complex_rows(_load_json(args.u_file), "--u-file"))
     if getattr(args, "u_seed", None) is not None:
         return random_symmetric_unitary(n, make_rng(args.u_seed))
     return SymmetricUnitary(matrix=np.eye(n))
@@ -89,6 +94,10 @@ def _load_state(args) -> PeakState:
     if getattr(args, "state", None):
         return PeakState.from_json_dict(_load_json(args.state))
     family = args.family
+    needs = ("nu",) if family == "thermal" else ("nu", "eps0")
+    missing = [f"--{key}" for key in needs if getattr(args, key) is None]
+    if family and missing:
+        raise ValidationError(f"--family {family} needs {' and '.join(missing)}")
     gamma = parse_cvector(args.gamma, args.n) if args.gamma else np.zeros(args.n)
     if family == "thermal":
         return make_thermal(args.n, args.nu)
@@ -116,8 +125,8 @@ def cmd_state_eval(args) -> int:
     summary = {"n": state.n, "nu": state.nu, "mean_photon": mean_photon(state),
                "state": state.to_json_dict(), "state_file": f"{args.out}.state.json",
                "config": _resolved(args)}
-    if state.eps0 is not None and len(state.weights) == 3:
-        gamma = next(c for w, c in zip(state.weights, state.centers) if w.imag > 0)
+    gamma = three_peak_plus(state)
+    if gamma is not None:
         rep = classicality_smax(state.nu, state.eps0, gamma)
         summary.update(s_max=rep.s_max, s_prime=rep.s_prime,
                        c_classicality=None if math.isinf(rep.c) else rep.c)
@@ -164,36 +173,11 @@ def cmd_sample(args) -> int:
 
 def cmd_estimate(args) -> int:
     record = MeasurementRecord.read_jsonl(args.record)
-    raw_points = _load_json(args.points)
-    points = [np.array([p["re"] + 1j * p["im"] for p in pt], dtype=complex)
-              for pt in raw_points]
-    reports = []
-    for pt in points:
-        if args.scheme == "bell-chi2":
-            est = estimate_chi_squared(record, pt)
-            rep = EstimateReport(point=[[z.real, z.imag] for z in pt], estimate=est,
-                                 scheme="bell_chi2", samples_used=record.count,
-                                 epsilon=args.epsilon, delta=None)
-        elif args.scheme == "bell-chi":
-            if args.epsilon is None:
-                raise ValidationError("bell-chi estimation needs --epsilon for sign resolution")
-            est = resolve_sign(estimate_chi_squared(record, pt), args.epsilon)
-            rep = EstimateReport(point=[[z.real, z.imag] for z in pt], estimate=est,
-                                 scheme="bell_chi", samples_used=record.count,
-                                 epsilon=args.epsilon, delta=None)
-        elif args.scheme == "heterodyne":
-            est = estimate_chi_heterodyne(record, pt)
-            rep = EstimateReport(point=[[z.real, z.imag] for z in pt], estimate=est,
-                                 scheme="heterodyne", samples_used=record.count,
-                                 epsilon=args.epsilon, delta=None)
-        else:  # classicality-aware
-            if args.epsilon is None or args.classicality is None:
-                raise ValidationError(
-                    "classicality-aware estimation needs --epsilon and --classicality")
-            rep = estimate_chi_classicality_aware(record, pt, args.classicality,
-                                                  args.epsilon)
-        reports.append(rep.to_json_dict())
-    _dump_json(args.out, {"estimates": reports, "config": _resolved(args)})
+    points = _complex_rows(_load_json(args.points), "--points")
+    reports = estimate_record(record, points, args.scheme.replace("-", "_"),
+                              epsilon=args.epsilon, classicality=args.classicality)
+    _dump_json(args.out, {"estimates": [rep.to_json_dict() for rep in reports],
+                          "config": _resolved(args)})
     return 0
 
 
@@ -215,8 +199,7 @@ def cmd_game_run(args) -> int:
         u_spec = raw.pop("u", None)
         n = int(raw["n"])
         if isinstance(u_spec, list):
-            u = SymmetricUnitary(matrix=np.array(
-                [[z["re"] + 1j * z["im"] for z in row] for row in u_spec]))
+            u = SymmetricUnitary(matrix=_complex_rows(u_spec, "config key u"))
         elif isinstance(u_spec, dict) and "seed" in u_spec:
             u = random_symmetric_unitary(n, make_rng(u_spec["seed"]))
         else:

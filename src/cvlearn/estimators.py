@@ -196,23 +196,47 @@ def resolve_sign(v_hat: complex, epsilon: float) -> complex:
     return complex(np.sqrt(complex(v)))
 
 
+def estimate_record(record: MeasurementRecord, alphas, scheme: str,
+                    epsilon: float | None = None,
+                    classicality: float | None = None) -> list[EstimateReport]:
+    """One report per query row of `alphas` (m, n), from one pass over the record.
+
+    bell_chi2 estimates chi^2; bell_chi resolves its sign to chi (needs
+    epsilon); heterodyne estimates chi; classicality_aware estimates chi
+    inside the effective radius L_eps(S) and reports zero beyond it (needs
+    epsilon and S).
+    """
+    if scheme not in SCHEMES:
+        raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if scheme in ("bell_chi", "classicality_aware") and epsilon is None:
+        raise ValidationError(f"{scheme} estimation needs epsilon")
+    _require_scheme(record, "bell" if scheme.startswith("bell") else "heterodyne")
+    pts = np.asarray(alphas, dtype=complex)
+    if pts.ndim != 2 or pts.shape[1] != record.n:
+        raise ValidationError(
+            f"query points must be rows of {record.n} components, got shape {pts.shape}")
+    truncated = np.zeros(len(pts), dtype=bool)
+    if scheme == "classicality_aware":
+        if classicality is None or classicality <= 0:
+            raise ValidationError(
+                "classicality-aware estimation needs S > 0; use the plain estimator otherwise")
+        if classicality > 1.0:
+            raise ValidationError(f"classicality floor must lie in (0,1], got {classicality}")
+        truncated = np.sum(np.abs(pts) ** 2, axis=1) >= effective_radius(classicality, epsilon)
+    est = np.zeros(len(pts), dtype=complex)
+    if not truncated.all():
+        means = chi_squared_means if record.scheme == "bell" else chi_heterodyne_means
+        est[~truncated] = means(record.outcomes, pts[~truncated])
+    if scheme == "bell_chi":
+        est = [resolve_sign(v, epsilon) for v in est]
+    return [EstimateReport(point=[[z.real, z.imag] for z in p], estimate=complex(e),
+                           scheme=scheme, samples_used=record.count, epsilon=epsilon,
+                           delta=None, truncated=bool(t))
+            for p, e, t in zip(pts, est, truncated)]
+
+
 def estimate_chi_classicality_aware(record: MeasurementRecord, alpha,
                                     classicality: float, epsilon: float) -> EstimateReport:
     """Heterodyne estimate inside the effective radius, zero beyond it."""
-    if classicality is None or classicality <= 0:
-        raise ValidationError(
-            "classicality-aware estimation needs S > 0; use the plain estimator otherwise")
-    if classicality > 1.0:
-        raise ValidationError(f"classicality floor must lie in (0,1], got {classicality}")
-    a = np.asarray(alpha, dtype=complex).reshape(-1)
-    radius2 = float(np.sum(np.abs(a) ** 2))
-    point = [[z.real, z.imag] for z in a]
-    if radius2 >= effective_radius(classicality, epsilon):
-        _require_scheme(record, "heterodyne")
-        return EstimateReport(point=point, estimate=0.0 + 0.0j, scheme="classicality_aware",
-                              samples_used=record.count, epsilon=epsilon, delta=None,
-                              truncated=True)
-    est = estimate_chi_heterodyne(record, a)
-    return EstimateReport(point=point, estimate=est, scheme="classicality_aware",
-                          samples_used=record.count, epsilon=epsilon, delta=None,
-                          truncated=False)
+    return estimate_record(record, np.reshape(alpha, (1, -1)), "classicality_aware",
+                           epsilon, classicality)[0]

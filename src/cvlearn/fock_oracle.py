@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import ValidationError, NumericFailure
-from .states import PeakState, char_fn, mean_photon
+from .states import PeakState, char_fn, mean_photon, three_peak_plus
 
 MAX_MODES = 2
 MAX_DIM = 16384
@@ -164,20 +164,14 @@ def min_eigenvalue(fm: FockMatrix) -> float:
 # Petz-Renyi D2 against the thermal reference
 # ---------------------------------------------------------------------------
 
-def _three_peak_gamma_eps0(state: PeakState):
-    if state.eps0 is None or len(state.weights) != 3:
-        raise ValidationError("petz_d2 requires a non-degenerate three-peak state")
-    for w, g in zip(state.weights, state.centers):
-        if w.imag > 1e-14 and np.linalg.norm(g) > 0:
-            return g, state.eps0
-    raise ValidationError("could not locate the +gamma peak")
-
-
 def petz_d2_closed_form(state_gamma: PeakState) -> float:
     """log2 Tr[rho_gamma rho_0^-1 rho_gamma] = log2(1 + 8 eps0^2 (1 - e^{-4a|gamma|^2}))."""
-    g, eps0 = _three_peak_gamma_eps0(state_gamma)
+    g = three_peak_plus(state_gamma)
+    if g is None:
+        raise ValidationError("petz_d2 requires a non-degenerate three-peak state")
     g2 = float(np.sum(np.abs(g) ** 2))
-    return math.log2(1.0 + 8.0 * eps0 ** 2 * (1.0 - math.exp(-4.0 * state_gamma.a * g2)))
+    return math.log2(1.0 + 8.0 * state_gamma.eps0 ** 2
+                     * (1.0 - math.exp(-4.0 * state_gamma.a * g2)))
 
 
 def petz_d2(state_gamma: PeakState, state_thermal: PeakState,

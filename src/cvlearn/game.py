@@ -230,17 +230,28 @@ def _make_state(cfg: GameConfig, gamma: np.ndarray) -> PeakState:
     return make_five_peak(cfg.n, cfg.nu, cfg.eps0, gamma, cfg.u)
 
 
-def _order_counts(cfg: GameConfig):
-    pattern = (cfg.order * (cfg.copies // len(cfg.order) + 1))[:cfg.copies]
-    return pattern.count("o"), pattern.count("r")
+def _copy_blocks(cfg: GameConfig, state: PeakState):
+    """What Bob measures on his copies of `state`: [(mixture, count, query)].
 
-
-def _bell_mixture(cfg: GameConfig, state: PeakState) -> SignedGaussianMixture:
-    """Bell density of the state with its partner: the circuit-propagated copy
-    for the reflection-symmetric five-peak family, else the reflected state."""
-    partner = (apply_circuit(state, cfg.u) if cfg.family == "five_peak"
-               else bell_partner(state, cfg.u))
-    return bell_mixture(state, partner)
+    `query` maps the revealed gamma to the point where the block is estimated.
+    Bell pairs the state with the circuit-propagated copy for the
+    reflection-symmetric five-peak family, else with the reflected state.
+    Heterodyne measures the `o` copies of `order` as they are and the `r`
+    copies reflected; a reflected copy's chi at U gamma* equals chi at gamma.
+    Only blocks with copies are built.
+    """
+    if cfg.bob == "ea_bell":
+        partner = (apply_circuit(state, cfg.u) if cfg.family == "five_peak"
+                   else bell_partner(state, cfg.u))
+        return [(bell_mixture(state, partner), cfg.copies, lambda g: g)]
+    n_o = (cfg.order * (cfg.copies // len(cfg.order) + 1))[:cfg.copies].count("o")
+    blocks = []
+    if n_o:
+        blocks.append((heterodyne_mixture(state), n_o, lambda g: g))
+    if cfg.copies - n_o:
+        blocks.append((heterodyne_mixture(reflect(state, cfg.u)), cfg.copies - n_o,
+                       lambda g: cfg.u.matrix @ np.conj(g)))
+    return blocks
 
 
 def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
@@ -248,7 +259,6 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
     thermal = make_thermal(cfg.n, cfg.nu)
     v = takagi_decompose(cfg.u).v if cfg.family == "five_peak" else None
     sigma2 = thermal.sigma2
-    n_o, n_r = _order_counts(cfg)
 
     correct = 0
     window_hits = 0
@@ -275,27 +285,20 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
         if cfg.bob == "random" or not in_window:
             decision = bool(rng.random() < 0.5)
             entry.update(used_estimate=False)
-        elif cfg.bob == "ef_heterodyne":
-            est = 0j
-            if n_o:
-                z = heterodyne_mixture(state).sample(n_o, rng, dtype=np.float32)
-                est += n_o * chi_heterodyne_means(z, gamma)[0]
-            if n_r:  # a reflected copy's chi at U gamma* equals chi at gamma
-                z = heterodyne_mixture(reflect(state, cfg.u)).sample(n_r, rng,
-                                                                     dtype=np.float32)
-                est += n_r * chi_heterodyne_means(z, cfg.u.matrix @ np.conj(gamma))[0]
-            est = complex(est) / cfg.copies
-            decision = abs(est - complex(char_fn(thermal, gamma))) > gap / 2.0
-            entry.update(used_estimate=True, estimate=[est.real, est.imag],
-                         threshold=gap / 2.0)
-        else:  # ea_bell
-            z = _bell_mixture(cfg, state).sample(cfg.copies, rng, dtype=np.float32)
-            v_hat = complex(chi_squared_means(z, gamma)[0])
+        else:
+            means = chi_squared_means if cfg.bob == "ea_bell" else chi_heterodyne_means
+            est = complex(sum(count * means(mix.sample(count, rng, dtype=np.float32),
+                                            query(gamma))[0]
+                              for mix, count, query in _copy_blocks(cfg, state))) / cfg.copies
             chi0 = complex(char_fn(thermal, gamma))
-            gap2 = gap * math.sqrt(gap * gap + 4.0 * abs(chi0) ** 2)
-            decision = abs(v_hat - chi0 ** 2) > gap2 / 2.0
-            entry.update(used_estimate=True, estimate=[v_hat.real, v_hat.imag],
-                         threshold=gap2 / 2.0)
+            if cfg.bob == "ea_bell":
+                gap2 = gap * math.sqrt(gap * gap + 4.0 * abs(chi0) ** 2)
+                target, threshold = chi0 ** 2, gap2 / 2.0
+            else:
+                target, threshold = chi0, gap / 2.0
+            decision = abs(est - target) > threshold
+            entry.update(used_estimate=True, estimate=[est.real, est.imag],
+                         threshold=threshold)
 
         ok = decision == peaked
         correct += ok
@@ -318,28 +321,10 @@ def _strategy_tvd(cfg: GameConfig, thermal: PeakState):
     """E_gamma TVD of the strategy's classical data under the two hypotheses."""
     rng = make_rng(cfg.seed, stream=1_000_003)
     gammas = sample_complex_gaussian(cfg.n, cfg.sigma_gamma2, cfg.tvd_gamma_draws, rng)
-    n_o, n_r = _order_counts(cfg)
-
-    if cfg.bob == "ef_heterodyne":
-        q0 = heterodyne_mixture(thermal)
-        blocks0 = [(q0, count) for count in (n_o, n_r) if count]
-
-        def pm(gamma):
-            plus = _make_state(cfg, gamma)
-            minus = _make_state(cfg, -gamma)
-            out = []
-            if n_o:
-                out.append(((heterodyne_mixture(plus), heterodyne_mixture(minus)), n_o))
-            if n_r:
-                out.append(((heterodyne_mixture(reflect(plus, cfg.u)),
-                             heterodyne_mixture(reflect(minus, cfg.u))), n_r))
-            return out
-
-        return tvd_pair(blocks0, pm, cfg.copies, gammas, cfg.tvd_mc_samples, rng)
+    null = [(mix, count) for mix, count, _ in _copy_blocks(cfg, thermal)]
 
     def pm(gamma):
-        return (_bell_mixture(cfg, _make_state(cfg, gamma)),
-                _bell_mixture(cfg, _make_state(cfg, -gamma)))
+        plus, minus = (_copy_blocks(cfg, _make_state(cfg, g)) for g in (gamma, -gamma))
+        return [((p, m), count) for (p, count, _), (m, _, _) in zip(plus, minus)]
 
-    return tvd_pair(_bell_mixture(cfg, thermal), pm, cfg.copies, gammas,
-                    cfg.tvd_mc_samples, rng)
+    return tvd_pair(null, pm, cfg.copies, gammas, cfg.tvd_mc_samples, rng)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError, NumericFailure
 from .numerics import make_rng
-from .states import PeakState, char_fn, merge_coincident
+from .states import PeakState, char_fn, merge_coincident, s_ordered_peaks
 
 ENVELOPE_GUARD = {np.float64: 1e-9, np.float32: 3e-6}
 PAIR_TOL = 1e-10    # |f_j + f_partner| and |Im Q| allowed by Hermitian pairing
@@ -184,13 +184,9 @@ class SignedGaussianMixture:
 # ---------------------------------------------------------------------------
 
 def heterodyne_mixture(state: PeakState) -> SignedGaussianMixture:
-    """Husimi Q density: one term per peak, V = (2a+1)/4."""
-    t = state.a + 0.5
-    sig2 = state.sigma2
-    abs2_g = np.sum(np.abs(state.centers) ** 2, axis=1)
-    coefs = state.weights * np.exp((1.0 / (4.0 * t * sig2 ** 2) - state.a) * abs2_g)
-    return SignedGaussianMixture(n=state.n, variance=t / 2.0,
-                                 freqs=np.conj(state.centers) / (t * sig2), coefs=coefs)
+    """Husimi Q density, the s = -1 quasiprobability: one term per peak, V = t/2."""
+    t, amps, freqs = s_ordered_peaks(state, -1.0)
+    return SignedGaussianMixture(n=state.n, variance=t / 2.0, freqs=freqs, coefs=amps)
 
 
 def _validate_bell_pair(state: PeakState, partner: PeakState, tol: float = 1e-8):

@@ -97,9 +97,7 @@ class PeakState:
 
     def thermal_reference(self) -> "PeakState":
         """The gamma = 0 member of the family (same nu)."""
-        return PeakState(n=self.n, nu=self.nu,
-                         weights=np.array([1.0 + 0j]),
-                         centers=np.zeros((1, self.n), dtype=complex))
+        return make_thermal(self.n, self.nu)
 
     def peak_multiset_equal(self, other: "PeakState", tol: float = 1e-9) -> bool:
         if self.n != other.n or abs(self.nu - other.nu) > tol:
@@ -147,7 +145,7 @@ class PeakState:
             centers = np.array(
                 [[z["re"] + 1j * z["im"] for z in p["center"]] for p in raw],
                 dtype=complex).reshape(len(raw), n)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed peak-state JSON: {exc}") from exc
         return PeakState(n=n, nu=nu, weights=weights, centers=centers,
                          eps0=d.get("eps0"))
@@ -207,6 +205,16 @@ def make_five_peak(n: int, nu: float, eps0: float, gamma,
     weights = np.array([1.0, 1j * eps0, -1j * eps0, 1j * eps0, -1j * eps0], dtype=complex)
     centers = np.stack([np.zeros(n, dtype=complex), g, -g, gr, -gr])
     return PeakState(n=n, nu=nu, weights=weights, centers=centers, eps0=eps0)
+
+
+def three_peak_plus(state: PeakState) -> np.ndarray | None:
+    """Center gamma of a three-peak state's (2i eps0, gamma) peak; None for other layouts."""
+    if state.eps0 is None or len(state.weights) != 3:
+        return None
+    for w, g in zip(state.weights, state.centers):
+        if w.imag > 0 and np.linalg.norm(g) > MERGE_TOL:
+            return g
+    return None
 
 
 def make_three_peak_classical(n: int, classicality: float, eps0: float, gamma) -> PeakState:
@@ -291,27 +299,34 @@ def _check_s(s: float):
         raise ValidationError(f"ordering parameter s must lie in [-1, 1], got {s}")
 
 
+def s_ordered_peaks(state: PeakState, s: float):
+    """(t, amps, freqs) of the s-ordered quasiprobability's per-peak terms.
+
+    Peak (w, gamma) contributes amp (pi t)^-n e^{-|beta|^2/t} e^{i Im(f . beta)}
+    with t = a - s/2, amp = w e^{(1/(4 t sigma^4) - a)|gamma|^2} and
+    f = gamma* / (t sigma^2), `.` the unconjugated dot product.
+    """
+    t = state.a - 0.5 * s
+    sig2 = state.sigma2
+    abs2_g = np.sum(np.abs(state.centers) ** 2, axis=1)
+    amps = state.weights * _clamped_exp((1.0 / (4.0 * t * sig2 ** 2) - state.a) * abs2_g)
+    return t, amps, np.conj(state.centers) / (t * sig2)
+
+
 def s_qpd(state: PeakState, s: float, beta):
     """s-ordered quasiprobability W(s, beta), exact for every peak state.
 
-    Each peak contributes a Gaussian tilted by a phase-space oscillation:
-
-        w (pi t)^-n e^{-|beta|^2/t} e^{(1/(4 t sigma^4) - a)|gamma|^2}
-          e^{-i Im(beta^dag gamma) / (t sigma^2)},      t = a - s/2.
-
-    For thermal / three-peak layouts this reduces to the W^(0) (1 + 4 eps0 ...)
-    closed form with coefficients f1(s), f2(s) below.
+    Each peak contributes a Gaussian tilted by a phase-space oscillation, with
+    the terms of `s_ordered_peaks`. For thermal / three-peak layouts this
+    reduces to the W^(0) (1 + 4 eps0 ...) closed form with coefficients
+    f1(s), f2(s) below.
     """
     _check_s(s)
     pts, single = _as_points(beta, state.n)
-    t = state.a - 0.5 * s
-    sig2 = state.sigma2
+    t, amps, freqs = s_ordered_peaks(state, s)
     abs2_b = np.sum(np.abs(pts) ** 2, axis=1)
-    abs2_g = np.sum(np.abs(state.centers) ** 2, axis=1)
-    im_bg = np.imag(np.conj(pts) @ state.centers.T)            # Im(beta^dag gamma)
-    amp = state.weights * _clamped_exp((1.0 / (4.0 * t * sig2 ** 2) - state.a) * abs2_g)
     base = _clamped_exp(-abs2_b / t) / (np.pi * t) ** state.n
-    vals = base * np.real(np.exp(-1j * im_bg / (t * sig2)) @ amp)
+    vals = base * np.real(np.exp(1j * np.imag(pts @ freqs.T)) @ amps)
     return vals[0] if single else vals
 
 

@@ -272,6 +272,42 @@ class TestInputErrors:
         assert self._game(tmp_path, cfg) == 2
         assert "colour" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", [[[{"re": 1}]], [[1.0, 2.0]], [[{"re": 1, "im": 0}] * 2],
+                                        {"re": 1, "im": 0}, [[{"re": 1, "im": 0}], []], []])
+    def test_malformed_point_rows_are_2(self, tmp_path, capsys, points):
+        rec, pts = self._record_and_points(tmp_path)
+        pts.write_text(json.dumps(points))
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "heterodyne", "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+        assert "validation error" in capsys.readouterr().err
+
+    def test_malformed_u_file_is_2(self, tmp_path):
+        ufile = tmp_path / "u.json"
+        ufile.write_text(json.dumps([[1, 2]]))
+        rc = main(["sample", "--family", "five-peak", "--nu", "0.5", "--eps0", "0.2",
+                   "--gamma", "0.5", "--u-file", str(ufile), "--scheme", "heterodyne",
+                   "--count", "10", "--seed", "1", "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("flags,missing", [(["--eps0", "0.2"], "--nu"),
+                                               (["--nu", "0.5"], "--eps0")])
+    def test_three_peak_without_nu_or_eps0_is_2(self, tmp_path, capsys, flags, missing):
+        rc = main(["sample", "--family", "three-peak", *flags, "--gamma", "0.5",
+                   "--scheme", "heterodyne", "--count", "10", "--seed", "1",
+                   "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert missing in capsys.readouterr().err
+
+    def test_state_center_length_mismatch_is_2(self, tmp_path):
+        d = make_three_peak(1, 0.5, 0.2, np.array([0.5])).to_json_dict()
+        d["n"] = 2
+        spath = tmp_path / "st.json"
+        spath.write_text(json.dumps(d))
+        rc = main(["sample", "--state", str(spath), "--scheme", "heterodyne",
+                   "--count", "10", "--seed", "1", "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+
     def test_game_config_without_n_is_2(self, tmp_path, capsys):
         cfg = {"family": "three_peak", "nu": 0.9, "eps0": 0.25, "kappa": 2.0,
                "copies": 10, "trials": 2}

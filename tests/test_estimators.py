@@ -15,6 +15,7 @@ from cvlearn.estimators import (
     estimate_chi_classicality_aware,
     estimate_chi_heterodyne,
     estimate_chi_squared,
+    estimate_record,
     hoeffding_count_float,
     plan_samples,
     resolve_sign,
@@ -194,6 +195,54 @@ class TestClassicalityAware:
         rec = sample_heterodyne(st, 100, seed=12)
         with pytest.raises(ValidationError):
             estimate_chi_classicality_aware(rec, np.array([1.0]), 0.0, 0.1)
+
+
+class TestEstimateRecord:
+    def records(self):
+        st = make_three_peak(2, 0.7, 0.2, np.array([0.8 + 0.3j, -0.4j]))
+        return bell_record(st, 21, 5000), sample_heterodyne(st, 5000, seed=22)
+
+    def points(self):
+        rng = make_rng(23)
+        return np.vstack([np.zeros(2), 1.1 * (rng.normal(size=(9, 2))
+                                              + 1j * rng.normal(size=(9, 2)))])
+
+    def test_batched_matches_per_point(self):
+        bell, het = self.records()
+        pts = self.points()
+        reps = estimate_record(bell, pts, "bell_chi2")
+        assert [r.scheme for r in reps] == ["bell_chi2"] * len(pts)
+        for r, a in zip(reps, pts):
+            assert r.point == [[z.real, z.imag] for z in a]
+            assert abs(r.estimate - estimate_chi_squared(bell, a)) < 1e-12
+        for r, a in zip(estimate_record(bell, pts, "bell_chi", epsilon=0.1), pts):
+            assert abs(r.estimate - resolve_sign(estimate_chi_squared(bell, a), 0.1)) < 1e-12
+        for r, a in zip(estimate_record(het, pts, "heterodyne"), pts):
+            assert abs(r.estimate - estimate_chi_heterodyne(het, a)) < 1e-12
+
+    def test_classicality_aware_zeroes_beyond_radius(self):
+        _, het = self.records()
+        pts = self.points()
+        S, eps = 0.5, 0.1
+        reps = estimate_record(het, pts, "classicality_aware", epsilon=eps, classicality=S)
+        beyond = np.sum(np.abs(pts) ** 2, axis=1) >= effective_radius(S, eps)
+        assert 0 < beyond.sum() < len(pts)
+        for r, a, out in zip(reps, pts, beyond):
+            assert r.truncated == out
+            want = 0.0 if out else estimate_chi_heterodyne(het, a)
+            assert abs(r.estimate - want) < 1e-12
+            single = estimate_chi_classicality_aware(het, a, S, eps)
+            assert single.truncated == out and abs(single.estimate - r.estimate) < 1e-12
+
+    def test_input_checks(self):
+        bell, het = self.records()
+        pts = self.points()
+        for bad in [dict(scheme="bell_chi3"), dict(scheme="bell_chi"),
+                    dict(scheme="heterodyne"), dict(scheme="bell_chi2", alphas=pts[:, :1]),
+                    dict(scheme="classicality_aware", record=het, epsilon=0.1)]:
+            args = dict(record=bell, alphas=pts) | bad
+            with pytest.raises(ValidationError):
+                estimate_record(args.pop("record"), args.pop("alphas"), **args)
 
 
 class TestPlanner:

@@ -28,7 +28,7 @@ from cvlearn.numerics import (
     sample_complex_gaussian,
     takagi_decompose,
 )
-from cvlearn.states import char_fn, make_thermal, make_three_peak
+from cvlearn.states import char_fn, make_five_peak, make_thermal, make_three_peak, reflect
 
 
 class TestConfigValidation:
@@ -257,6 +257,44 @@ class TestTvd:
             res = run_game(cfg, keep_log=False)
             slack = 4 * res.tvd_stderr + 3 * math.sqrt(0.25 / cfg.trials)
             assert res.success_rate <= (1 + res.empirical_tvd) / 2 + slack
+
+    def test_helstrom_consistency_five_peak(self):
+        u = random_symmetric_unitary(1, make_rng(3))
+        for bob, order in [("ea_bell", "o"), ("ef_heterodyne", "or")]:
+            cfg = GameConfig(family="five_peak", n=1, nu=0.9, eps0=0.25, kappa=2.0,
+                             copies=60, u=u, trials=1000, bob=bob, seed=4, order=order,
+                             tvd_gamma_draws=60, tvd_mc_samples=200)
+            res = run_game(cfg, keep_log=False)
+            slack = 4 * res.tvd_stderr + 3 * math.sqrt(0.25 / cfg.trials)
+            assert res.success_rate <= (1 + res.empirical_tvd) / 2 + slack
+
+    @pytest.mark.parametrize("family", ["three_peak", "five_peak"])
+    def test_mixed_order_tvd_matches_hand_built_blocks(self, family):
+        # Order "or" over 13 copies: 7 direct and 6 reflected heterodyne copies.
+        u = random_symmetric_unitary(1, make_rng(15))
+        cfg = GameConfig(family=family, n=1, nu=0.9, eps0=0.25, kappa=2.0, copies=13,
+                         u=u, trials=3, bob="ef_heterodyne", seed=16, order="or",
+                         tvd_gamma_draws=6, tvd_mc_samples=40)
+
+        def state(g):
+            if family == "three_peak":
+                return make_three_peak(1, 0.9, 0.25, g)
+            return make_five_peak(1, 0.9, 0.25, g, u)
+
+        def pm(g):
+            plus, minus = state(g), state(-g)
+            return [((heterodyne_mixture(plus), heterodyne_mixture(minus)), 7),
+                    ((heterodyne_mixture(reflect(plus, u)),
+                      heterodyne_mixture(reflect(minus, u))), 6)]
+
+        rng = make_rng(16, stream=1_000_003)
+        gammas = sample_complex_gaussian(1, cfg.sigma_gamma2, 6, rng)
+        q0 = heterodyne_mixture(make_thermal(1, 0.9))
+        tvd, se = tvd_pair([(q0, 7), (q0, 6)], pm, 13, gammas, 40, rng)
+        res = run_game(cfg, keep_log=False)
+        assert res.empirical_tvd == pytest.approx(tvd, abs=1e-12)
+        assert res.tvd_stderr == pytest.approx(se, abs=1e-12)
+        assert tvd > 0.0
 
     def test_tvd_envelope_for_any_ef_strategy_config_sweep(self):
         # The per-copy envelope holds across random small configs (n <= 2).

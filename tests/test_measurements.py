@@ -30,6 +30,7 @@ from cvlearn.states import (
     make_five_peak,
     make_thermal,
     make_three_peak,
+    s_qpd,
 )
 
 
@@ -165,6 +166,15 @@ class TestSampleBell:
 
 
 class TestHeterodyne:
+    def test_matches_s_qpd_at_minus_one(self):
+        rng = make_rng(24)
+        for n in [1, 2, 3]:
+            g = rng.normal(size=n) + 1j * rng.normal(size=n)
+            u = random_symmetric_unitary(n, rng)
+            for st in [make_three_peak(n, 0.6, 0.2, g), make_five_peak(n, 0.8, 0.2, g, u)]:
+                z = 1.2 * (rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n)))
+                assert np.max(np.abs(heterodyne_density(st, z) - s_qpd(st, -1.0, z))) < 1e-12
+
     def test_vacuum_limit(self):
         st = make_thermal(1, 1e-6)
         for z in [0.0, 0.5 + 0.5j, 1.5]:

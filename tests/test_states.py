@@ -33,6 +33,7 @@ from cvlearn.states import (
     s_prime,
     s_qpd,
     s_qpd_grid_1mode,
+    three_peak_plus,
     wigner,
 )
 
@@ -478,3 +479,29 @@ class TestJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
             PeakState.from_json(json.dumps({"n": 1, "nu": 0.5}))
+
+    def test_center_length_mismatch_rejected(self):
+        d = make_three_peak(1, 0.5, 0.2, np.array([0.7])).to_json_dict()
+        d["n"] = 2
+        with pytest.raises(ValidationError, match="malformed"):
+            PeakState.from_json_dict(d)
+
+
+class TestThreePeakPlus:
+    def test_layouts(self):
+        g = np.array([0.4 - 0.9j, 1.1])
+        assert np.array_equal(three_peak_plus(make_three_peak(2, 0.6, 0.2, g)), g)
+        assert np.array_equal(three_peak_plus(make_three_peak(2, 0.6, 0.2, -g)), -g)
+        u = random_symmetric_unitary(2, make_rng(92))
+        assert three_peak_plus(make_five_peak(2, 0.6, 0.2, g, u)) is None
+        assert three_peak_plus(make_thermal(2, 0.6)) is None
+
+    def test_origin_weight_with_imaginary_part_is_not_the_plus_peak(self):
+        # Validation tolerates an origin weight within 1e-9 of 1.
+        d = make_three_peak(1, 0.6, 0.2, np.array([0.8])).to_json_dict()
+        d["peaks"][0]["w_im"] = 1e-12
+        assert np.array_equal(three_peak_plus(PeakState.from_json_dict(d)), [0.8])
+
+    def test_thermal_reference(self):
+        st = make_three_peak(2, 0.6, 0.2, np.array([0.4, 1.0]))
+        assert st.thermal_reference().peak_multiset_equal(make_thermal(2, 0.6), tol=0.0)
