@@ -71,10 +71,10 @@ def _dump_json(path, payload):
 
 
 def _complex_rows(raw, what: str) -> np.ndarray:
-    """A JSON list of rows of {"re", "im"} objects as a nonempty 2-D complex array."""
+    """A JSON list of rows of {"re", "im"} objects as a 2-D complex array."""
     try:
         m = np.array([[z["re"] + 1j * z["im"] for z in row] for row in raw], dtype=complex)
-        if m.ndim != 2 or m.size == 0:
+        if m.ndim != 2:
             raise ValueError(f"got shape {m.shape}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
@@ -173,9 +173,10 @@ def cmd_sample(args) -> int:
 
 def cmd_estimate(args) -> int:
     record = MeasurementRecord.read_jsonl(args.record)
-    points = _complex_rows(_load_json(args.points), "--points")
-    reports = estimate_record(record, points, args.scheme.replace("-", "_"),
-                              epsilon=args.epsilon, classicality=args.classicality)
+    raw = _load_json(args.points)
+    reports = [] if raw == [] else estimate_record(
+        record, _complex_rows(raw, "--points"), args.scheme.replace("-", "_"),
+        epsilon=args.epsilon, classicality=args.classicality)
     _dump_json(args.out, {"estimates": [rep.to_json_dict() for rep in reports],
                           "config": _resolved(args)})
     return 0

@@ -226,7 +226,9 @@ def estimate_record(record: MeasurementRecord, alphas, scheme: str,
     est = np.zeros(len(pts), dtype=complex)
     if not truncated.all():
         means = chi_squared_means if record.scheme == "bell" else chi_heterodyne_means
-        est[~truncated] = means(record.outcomes, pts[~truncated])
+        # chunk x M phase buffers: keep them at 2^20 entries however many points.
+        queries = pts[~truncated]
+        est[~truncated] = means(record.outcomes, queries, chunk=max(1, (1 << 20) // len(queries)))
     if scheme == "bell_chi":
         est = [resolve_sign(v, epsilon) for v in est]
     return [EstimateReport(point=[[z.real, z.imag] for z in p], estimate=complex(e),

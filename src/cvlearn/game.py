@@ -231,9 +231,10 @@ def _make_state(cfg: GameConfig, gamma: np.ndarray) -> PeakState:
 
 
 def _copy_blocks(cfg: GameConfig, state: PeakState):
-    """What Bob measures on his copies of `state`: [(mixture, count, query)].
+    """What Bob measures on his copies of `state`: [(mixture, count, estimate)].
 
-    `query` maps the revealed gamma to the point where the block is estimated.
+    `estimate(outcomes, gamma)` is the block's estimator (chi^2 for Bell, chi
+    for heterodyne) at the revealed gamma, as a length-1 array.
     Bell pairs the state with the circuit-propagated copy for the
     reflection-symmetric five-peak family, else with the reflected state.
     Heterodyne measures the `o` copies of `order` as they are and the `r`
@@ -243,14 +244,14 @@ def _copy_blocks(cfg: GameConfig, state: PeakState):
     if cfg.bob == "ea_bell":
         partner = (apply_circuit(state, cfg.u) if cfg.family == "five_peak"
                    else bell_partner(state, cfg.u))
-        return [(bell_mixture(state, partner), cfg.copies, lambda g: g)]
+        return [(bell_mixture(state, partner), cfg.copies, chi_squared_means)]
     n_o = (cfg.order * (cfg.copies // len(cfg.order) + 1))[:cfg.copies].count("o")
     blocks = []
     if n_o:
-        blocks.append((heterodyne_mixture(state), n_o, lambda g: g))
+        blocks.append((heterodyne_mixture(state), n_o, chi_heterodyne_means))
     if cfg.copies - n_o:
         blocks.append((heterodyne_mixture(reflect(state, cfg.u)), cfg.copies - n_o,
-                       lambda g: cfg.u.matrix @ np.conj(g)))
+                       lambda z, g: chi_heterodyne_means(z, cfg.u.matrix @ np.conj(g))))
     return blocks
 
 
@@ -286,10 +287,8 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
             decision = bool(rng.random() < 0.5)
             entry.update(used_estimate=False)
         else:
-            means = chi_squared_means if cfg.bob == "ea_bell" else chi_heterodyne_means
-            est = complex(sum(count * means(mix.sample(count, rng, dtype=np.float32),
-                                            query(gamma))[0]
-                              for mix, count, query in _copy_blocks(cfg, state))) / cfg.copies
+            est = complex(sum(count * estimate(mix.sample(count, rng, dtype=np.float32), gamma)[0]
+                              for mix, count, estimate in _copy_blocks(cfg, state))) / cfg.copies
             chi0 = complex(char_fn(thermal, gamma))
             if cfg.bob == "ea_bell":
                 gap2 = gap * math.sqrt(gap * gap + 4.0 * abs(chi0) ** 2)

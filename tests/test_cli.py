@@ -273,7 +273,7 @@ class TestInputErrors:
         assert "colour" in capsys.readouterr().err
 
     @pytest.mark.parametrize("points", [[[{"re": 1}]], [[1.0, 2.0]], [[{"re": 1, "im": 0}] * 2],
-                                        {"re": 1, "im": 0}, [[{"re": 1, "im": 0}], []], []])
+                                        {"re": 1, "im": 0}, [[{"re": 1, "im": 0}], []]])
     def test_malformed_point_rows_are_2(self, tmp_path, capsys, points):
         rec, pts = self._record_and_points(tmp_path)
         pts.write_text(json.dumps(points))
@@ -281,6 +281,15 @@ class TestInputErrors:
                    "--scheme", "heterodyne", "--out", str(tmp_path / "e.json")])
         assert rc == 2
         assert "validation error" in capsys.readouterr().err
+
+    def test_empty_points_give_no_estimates(self, tmp_path):
+        rec, pts = self._record_and_points(tmp_path)
+        pts.write_text("[]")
+        out = tmp_path / "e.json"
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "heterodyne", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["estimates"] == []
 
     def test_malformed_u_file_is_2(self, tmp_path):
         ufile = tmp_path / "u.json"

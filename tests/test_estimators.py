@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cvlearn import estimators
 from cvlearn.errors import ValidationError
 from cvlearn.estimators import (
     EstimateReport,
@@ -233,6 +234,23 @@ class TestEstimateRecord:
             assert abs(r.estimate - want) < 1e-12
             single = estimate_chi_classicality_aware(het, a, S, eps)
             assert single.truncated == out and abs(single.estimate - r.estimate) < 1e-12
+
+    def test_phase_buffers_bounded_in_points(self, monkeypatch):
+        # The chunk x M phase buffers stay at 2^20 entries however many points.
+        _, het = self.records()
+        pts = np.tile(self.points(), (60, 1))
+        seen = []
+        inner = estimators._phase_factor_sums
+
+        def spy(outcomes, freqs, dtype, chunk):
+            seen.append((len(freqs), chunk))
+            return inner(outcomes, freqs, dtype, chunk)
+
+        monkeypatch.setattr(estimators, "_phase_factor_sums", spy)
+        reps = estimate_record(het, pts, "heterodyne")
+        assert seen == [(len(pts), (1 << 20) // len(pts))]
+        for r, a in zip(reps[::37], pts[::37]):
+            assert abs(r.estimate - estimate_chi_heterodyne(het, a)) < 1e-12
 
     def test_input_checks(self):
         bell, het = self.records()
