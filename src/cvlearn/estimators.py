@@ -107,51 +107,60 @@ def _phase_factor_sums(outcomes: np.ndarray, freqs: np.ndarray, dtype,
                        chunk: int) -> np.ndarray:
     """sum_j e^{i Im(z_j . f)} for each row f of `freqs`, via `phase_matrix`.
 
-    One real matmul per sample block; in-place trig on reused buffers keeps
-    the hot path allocation-free, with float64 accumulation of column sums.
+    Each block of `chunk` samples is laid out along the fast axis: parts
+    (2n, rows) = [Re z | Im z]^T, and phases (M, rows) = Phi^T @ parts from
+    one real matmul. In-place trig on reused buffers keeps the hot path
+    allocation-free, and each query point's sum runs along a contiguous row,
+    accumulated in float64.
     """
     n_samp, n_modes = outcomes.shape
-    mat = phase_matrix(freqs).astype(dtype)
-    m = mat.shape[1]
+    mat_t = phase_matrix(freqs).T.astype(dtype)
+    m = mat_t.shape[0]
     acc = np.zeros(m, dtype=complex)
     parts = phases = cos_buf = None
     for lo in range(0, n_samp, chunk):
         zz = outcomes[lo:lo + chunk]
         b = zz.shape[0]
-        if parts is None or parts.shape[0] != b:
-            parts = np.empty((b, 2 * n_modes), dtype=dtype)
-            phases = np.empty((b, m), dtype=dtype)
-            cos_buf = np.empty((b, m), dtype=dtype)
-        parts[:, :n_modes] = zz.real
-        parts[:, n_modes:] = zz.imag
-        np.matmul(parts, mat, out=phases)
+        if parts is None or parts.shape[1] != b:
+            parts = np.empty((2 * n_modes, b), dtype=dtype)
+            phases = np.empty((m, b), dtype=dtype)
+            cos_buf = np.empty((m, b), dtype=dtype)
+        parts[:n_modes] = zz.real.T
+        parts[n_modes:] = zz.imag.T
+        np.matmul(mat_t, parts, out=phases)
         np.cos(phases, out=cos_buf)
-        acc += cos_buf.sum(axis=0, dtype=np.float64)
+        acc += cos_buf.sum(axis=1, dtype=np.float64)
         np.sin(phases, out=phases)
-        acc += 1j * phases.sum(axis=0, dtype=np.float64)
+        acc += 1j * phases.sum(axis=1, dtype=np.float64)
     return acc
 
 
+def _block_rows(chunk: int | None, m: int) -> int:
+    """Rows per block: `chunk`, or by default 2^20 phase entries for m points."""
+    return max(1, (1 << 20) // m) if chunk is None else chunk
+
+
 def chi_squared_means(outcomes: np.ndarray, alphas: np.ndarray,
-                      dtype=np.float64, chunk: int = 1 << 20) -> np.ndarray:
+                      dtype=np.float64, chunk: int | None = None) -> np.ndarray:
     """(1/N) sum_j e^{-(zeta_j . a - zeta_j* . a*)} for each row a of `alphas`.
 
     The summand is e^{-2i Im(zeta . a)} (unconjugated dot), modulus one: the
     conjugate of the phase factor at frequency 2a.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
-    sums = _phase_factor_sums(outcomes, 2.0 * alphas, dtype, chunk)
+    sums = _phase_factor_sums(outcomes, 2.0 * alphas, dtype, _block_rows(chunk, len(alphas)))
     return np.conj(sums) / outcomes.shape[0]
 
 
 def chi_heterodyne_means(outcomes: np.ndarray, alphas: np.ndarray,
-                         dtype=np.float64, chunk: int = 1 << 20) -> np.ndarray:
+                         dtype=np.float64, chunk: int | None = None) -> np.ndarray:
     """e^{|a|^2/2} (1/N) sum_j e^{zeta_j^dag a - a^dag zeta_j} per query row.
 
     2 Im(zeta^dag a) = Im(zeta . (-2 a*)), the phase at frequency -2 a*.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
-    sums = _phase_factor_sums(outcomes, -2.0 * np.conj(alphas), dtype, chunk)
+    sums = _phase_factor_sums(outcomes, -2.0 * np.conj(alphas), dtype,
+                              _block_rows(chunk, len(alphas)))
     boost = np.exp(0.5 * np.sum(np.abs(alphas) ** 2, axis=1))
     return boost * sums / outcomes.shape[0]
 
@@ -226,9 +235,7 @@ def estimate_record(record: MeasurementRecord, alphas, scheme: str,
     est = np.zeros(len(pts), dtype=complex)
     if not truncated.all():
         means = chi_squared_means if record.scheme == "bell" else chi_heterodyne_means
-        # chunk x M phase buffers: keep them at 2^20 entries however many points.
-        queries = pts[~truncated]
-        est[~truncated] = means(record.outcomes, queries, chunk=max(1, (1 << 20) // len(queries)))
+        est[~truncated] = means(record.outcomes, pts[~truncated])
     if scheme == "bell_chi":
         est = [resolve_sign(v, epsilon) for v in est]
     return [EstimateReport(point=[[z.real, z.imag] for z in p], estimate=complex(e),

@@ -260,6 +260,8 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
     thermal = make_thermal(cfg.n, cfg.nu)
     v = takagi_decompose(cfg.u).v if cfg.family == "five_peak" else None
     sigma2 = thermal.sigma2
+    # Built once: every thermal trial and the TVD's null share these blocks.
+    null_blocks = _copy_blocks(cfg, thermal) if cfg.bob != "random" else []
 
     correct = 0
     window_hits = 0
@@ -269,7 +271,6 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
         gamma = sample_complex_gaussian(cfg.n, cfg.sigma_gamma2, 1, rng)[0]
         s = 1 if rng.random() < 0.5 else -1
         peaked = bool(rng.random() < 0.5)
-        state = _make_state(cfg, s * gamma) if peaked else thermal
 
         if cfg.family == "three_peak":
             g2 = float(np.sum(np.abs(gamma) ** 2))
@@ -287,8 +288,9 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
             decision = bool(rng.random() < 0.5)
             entry.update(used_estimate=False)
         else:
+            blocks = _copy_blocks(cfg, _make_state(cfg, s * gamma)) if peaked else null_blocks
             est = complex(sum(count * estimate(mix.sample(count, rng, dtype=np.float32), gamma)[0]
-                              for mix, count, estimate in _copy_blocks(cfg, state))) / cfg.copies
+                              for mix, count, estimate in blocks)) / cfg.copies
             chi0 = complex(char_fn(thermal, gamma))
             if cfg.bob == "ea_bell":
                 gap2 = gap * math.sqrt(gap * gap + 4.0 * abs(chi0) ** 2)
@@ -307,7 +309,7 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
 
     tvd, tvd_se = 0.0, 0.0
     if cfg.estimate_tvd and cfg.bob != "random":
-        tvd, tvd_se = _strategy_tvd(cfg, thermal)
+        tvd, tvd_se = _strategy_tvd(cfg, null_blocks)
 
     return GameResult(success_rate=correct / cfg.trials,
                       window_hit_rate=window_hits / cfg.trials,
@@ -316,11 +318,14 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
                       per_trial=log if keep_log else [])
 
 
-def _strategy_tvd(cfg: GameConfig, thermal: PeakState):
-    """E_gamma TVD of the strategy's classical data under the two hypotheses."""
+def _strategy_tvd(cfg: GameConfig, null_blocks):
+    """E_gamma TVD of the strategy's classical data under the two hypotheses.
+
+    `null_blocks` are the strategy's copy blocks on the thermal state.
+    """
     rng = make_rng(cfg.seed, stream=1_000_003)
     gammas = sample_complex_gaussian(cfg.n, cfg.sigma_gamma2, cfg.tvd_gamma_draws, rng)
-    null = [(mix, count) for mix, count, _ in _copy_blocks(cfg, thermal)]
+    null = [(mix, count) for mix, count, _ in null_blocks]
 
     def pm(gamma):
         plus, minus = (_copy_blocks(cfg, _make_state(cfg, g)) for g in (gamma, -gamma))

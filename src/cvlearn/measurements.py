@@ -153,6 +153,7 @@ class SignedGaussianMixture:
         inv_mass = dt(1.0 / self.envelope_mass)
         out = np.empty((count, self.n),
                        dtype=np.complex64 if dtype == np.float32 else complex)
+        parts = out.view(dtype).reshape(count, self.n, 2)   # [..., 0] real, [..., 1] imag
         filled = 0
         # Envelope mass bounds the expected trials per accepted sample.
         batch = max(2048, min(int(1.2 * count * self.envelope_mass), 4_000_000))
@@ -171,10 +172,12 @@ class SignedGaussianMixture:
                     f"rejection envelope violated: ratio {np.max(ratio)} > 1; "
                     "the proposal no longer dominates the density")
             rng.random(out=u, dtype=dtype)
-            accept = u < ratio
-            take = min(count - filled, int(np.count_nonzero(accept)))
-            idx = np.flatnonzero(accept)[:take]
-            out[filled:filled + take] = re[idx] + 1j * im[idx]
+            idx = np.flatnonzero(u < ratio)[:count - filled]
+            take = len(idx)
+            # Compact the accepted rows straight into `out`; idx < batch, so
+            # mode="clip" never clips, and unlike "raise" it needs no buffer.
+            np.take(re, idx, axis=0, out=parts[filled:filled + take, :, 0], mode="clip")
+            np.take(im, idx, axis=0, out=parts[filled:filled + take, :, 1], mode="clip")
             filled += take
         return out.astype(complex, copy=False) if dtype == np.float64 else out
 

@@ -11,6 +11,7 @@ from cvlearn.errors import ValidationError
 from cvlearn.estimators import (
     EstimateReport,
     PlannerInputs,
+    chi_heterodyne_means,
     chi_squared_means,
     effective_radius,
     estimate_chi_classicality_aware,
@@ -196,6 +197,42 @@ class TestClassicalityAware:
         rec = sample_heterodyne(st, 100, seed=12)
         with pytest.raises(ValidationError):
             estimate_chi_classicality_aware(rec, np.array([1.0]), 0.0, 0.1)
+
+
+class TestPhaseFactorSums:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("m", [1, 17])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000, 5000])
+    def test_matches_direct_sum(self, n, m, chunk):
+        # 1000 samples: chunks that divide N, that do not, one row, and more than N.
+        rng = make_rng(50 + n)
+        z = rng.normal(size=(1000, n)) + 1j * rng.normal(size=(1000, n))
+        f = 2.0 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+        want = np.exp(1j * np.imag(z @ f.T)).sum(0)
+        got = estimators._phase_factor_sums(z, f, np.float64, chunk)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_default_chunk_bounds_phase_buffers(self, monkeypatch):
+        # A direct call with many points keeps chunk x M at 2^20 entries;
+        # an explicit chunk passes through unchanged.
+        seen = []
+        inner = estimators._phase_factor_sums
+
+        def spy(outcomes, freqs, dtype, chunk):
+            seen.append((len(freqs), chunk))
+            return inner(outcomes, freqs, dtype, chunk)
+
+        monkeypatch.setattr(estimators, "_phase_factor_sums", spy)
+        rng = make_rng(52)
+        z = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
+        pts = 0.3 * (rng.normal(size=(600, 2)) + 1j * rng.normal(size=(600, 2)))
+        het = chi_heterodyne_means(z, pts)
+        chi2 = chi_squared_means(z, pts[:3])
+        chi_heterodyne_means(z, pts, chunk=1000)
+        assert seen == [(600, (1 << 20) // 600), (3, (1 << 20) // 3), (600, 1000)]
+        assert 600 * seen[0][1] <= 1 << 20
+        assert het.shape == (600,) and chi2.shape == (3,)
 
 
 class TestEstimateRecord:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from cvlearn import game
 from cvlearn.bounds import BoundInputs, lb_ef
 from cvlearn.errors import ValidationError
 from cvlearn.game import (
@@ -209,6 +210,27 @@ class TestRunGame:
         r2 = run_game(cfg)
         assert r1.success_rate == r2.success_rate
         assert all(a == b for a, b in zip(r1.per_trial, r2.per_trial))
+
+    @pytest.mark.parametrize("family", ["three_peak", "five_peak"])
+    @pytest.mark.parametrize("bob, order", [("ea_bell", "o"), ("ef_heterodyne", "or")])
+    def test_thermal_blocks_built_once(self, monkeypatch, family, bob, order):
+        # Thermal trials and the TVD's null share one build of the thermal
+        # blocks; each in-window peaked trial and each TVD gamma (+/-) builds its own.
+        built = []
+        for name in ("bell_mixture", "heterodyne_mixture"):
+            inner = getattr(game, name)
+            monkeypatch.setattr(game, name,
+                                lambda st, *a, _inner=inner: built.append(st) or _inner(st, *a))
+        u = random_symmetric_unitary(1, make_rng(17))
+        cfg = GameConfig(family=family, n=1, nu=0.9, eps0=0.25, kappa=2.0, copies=8, u=u,
+                         trials=60, bob=bob, seed=18, order=order,
+                         tvd_gamma_draws=3, tvd_mc_samples=10)
+        res = run_game(cfg)
+        blocks = len(order)
+        assert any(e["used_estimate"] and not e["peaked"] for e in res.per_trial)
+        assert sum(len(st.weights) == 1 for st in built) == blocks
+        peaked = sum(e["used_estimate"] and e["peaked"] for e in res.per_trial)
+        assert len(built) == blocks * (1 + peaked + 2 * cfg.tvd_gamma_draws)
 
 
 class TestTvd:

@@ -165,6 +165,52 @@ class TestSampleBell:
         assert abs(np.var(coords) - st.a) < 4 * st.a * math.sqrt(2.0 / coords.size)
 
 
+def reference_sample(mix, count, rng, dtype):
+    """The sampler's loop written out: normals (re, im), bracket, uniforms, and
+    the accepted rows built as re[idx] + 1j * im[idx]; also the batch count."""
+    dt = np.dtype(dtype).type
+    scale, inv_mass = dt(np.sqrt(mix.variance)), dt(1.0 / mix.envelope_mass)
+    batch = max(2048, min(int(1.2 * count * mix.envelope_mass), 4_000_000))
+    rows, filled = [], 0
+    while filled < count:
+        re = rng.standard_normal((batch, mix.n), dtype=dtype) * scale
+        im = rng.standard_normal((batch, mix.n), dtype=dtype) * scale
+        ratio = mix._bracket(re, im) * inv_mass
+        u = rng.random(batch, dtype=dtype)
+        idx = np.flatnonzero(u < ratio)[:count - filled]
+        rows.append(re[idx] + 1j * im[idx])
+        filled += len(idx)
+    return np.concatenate(rows), len(rows)
+
+
+class TestSampleStream:
+    def mixture(self, scheme, n):
+        u = random_symmetric_unitary(n, make_rng(60 + n))
+        st = make_three_peak(n, 0.75, 0.25, np.full(n, 0.9 + 0.4j))
+        return bell_mixture(st, bell_partner(st, u)) if scheme == "bell" \
+            else heterodyne_mixture(st)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scheme", ["bell", "heterodyne"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_reference_loop(self, dtype, scheme, n):
+        mix = self.mixture(scheme, n)
+        got = mix.sample(5000, make_rng(61, stream=n), dtype=dtype)
+        want, _ = reference_sample(mix, 5000, make_rng(61, stream=n), dtype)
+        assert got.dtype == (np.complex64 if dtype == np.float32 else np.complex128)
+        assert got.shape == (5000, n)
+        assert np.array_equal(got, want)
+
+    def test_matches_reference_loop_across_batches(self):
+        # At the 4M-proposal cap a second batch fills the rest of the output.
+        mix = self.mixture("bell", 1)
+        count = 1_900_000
+        got = mix.sample(count, make_rng(62), dtype=np.float32)
+        want, batches = reference_sample(mix, count, make_rng(62), np.float32)
+        assert batches == 2
+        assert np.array_equal(got, want)
+
+
 class TestHeterodyne:
     def test_matches_s_qpd_at_minus_one(self):
         rng = make_rng(24)
