@@ -267,6 +267,8 @@ class MeasurementRecord:
         self.outcomes = np.asarray(self.outcomes, dtype=complex).reshape(-1, self.n)
         if self.outcomes.shape[0] < 1:
             raise ValidationError("measurement record must hold at least one outcome")
+        if not np.isfinite(self.outcomes).all():
+            raise ValidationError("measurement record outcomes must be finite")
 
     @property
     def count(self) -> int:
@@ -275,25 +277,32 @@ class MeasurementRecord:
     def write_jsonl(self, path):
         header = {"scheme": self.scheme, "n": self.n, "seed": self.seed,
                   "count": self.count, "state_descriptor": self.state_descriptor}
+        # %r is the float repr json.dumps writes, so each row reads as
+        # json.dumps([re_1, im_1, ..., re_n, im_n])
+        template = "[" + ", ".join(["%r"] * (2 * self.n)) + "]\n"
+        rows = np.ascontiguousarray(self.outcomes).view(float).reshape(self.count, -1).tolist()
         with open(path, "w") as fh:
             fh.write(json.dumps(header) + "\n")
-            for row in self.outcomes:
-                flat = []
-                for z in row:
-                    flat.extend([float(z.real), float(z.imag)])
-                fh.write(json.dumps(flat) + "\n")
+            fh.write("".join([template % tuple(row) for row in rows]))
 
     @staticmethod
     def read_jsonl(path) -> "MeasurementRecord":
         """Load a record; the header must name scheme, n, seed and the row count."""
         with open(path) as fh:
             header_line = fh.readline()
-            lines = [line for line in fh if line.strip()]
+            lines = [line for line in map(str.strip, fh) if line]
+        body = ",".join(lines)
         try:
             header = json.loads(header_line)
             scheme = header["scheme"]
             n, count, seed = (int(header[k]) for k in ("n", "count", "seed"))
-            rows = [json.loads(line) for line in lines]
+            # every line must hold exactly one flat array, as one json.loads
+            # per line would demand: a row split over lines, or two arrays on
+            # one line, would still parse once the lines are joined
+            if not (body.count("[") == body.count("]") == len(lines)
+                    and all(line[0] == "[" and line[-1] == "]" for line in lines)):
+                raise ValueError("each row must be one JSON array on its own line")
+            rows = json.loads("[" + body + "]")
             data = np.array(rows, dtype=float).reshape(len(rows), n, 2)
         except KeyError as exc:
             raise ValidationError(f"record header lacks {exc}") from exc

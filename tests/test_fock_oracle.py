@@ -130,6 +130,78 @@ class TestBuildState:
         assert mean_photon_trace(fm) == pytest.approx(mean_photon(st), abs=1e-6)
 
 
+def kron_sum_state(state, cutoff):
+    """(1-nu^2)^n nu^N (sum_k w_k D(-g_k)) nu^N from dense Kronecker products."""
+    dim = cutoff ** state.n
+    core = np.zeros((dim, dim), dtype=complex)
+    for w, g in zip(state.weights, state.centers):
+        core += w * displacement_matrix(-g, cutoff).data
+    k = np.arange(cutoff, dtype=float)
+    filt = state.nu ** k
+    for _ in range(state.n - 1):
+        filt = np.outer(filt, state.nu ** k).reshape(-1)
+    return (1.0 - state.nu ** 2) ** state.n * (filt[:, None] * core * filt[None, :])
+
+
+def factored_cases():
+    rng = make_rng(12)
+    out = []
+    for n, nu, gamma in [(1, 0.6, np.array([1.0 + 0.4j])),
+                         (2, 0.4, np.array([0.4 - 0.2j, 0.3j]))]:
+        u = random_symmetric_unitary(n, rng)
+        out += [make_thermal(n, nu), make_three_peak(n, nu, 0.2, gamma),
+                make_five_peak(n, nu, 0.2, gamma, u)]
+    return out
+
+
+class TestFactoredOracle:
+    @pytest.mark.parametrize("state", factored_cases(),
+                             ids=lambda st: f"n{st.n}-k{len(st.weights)}")
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_build_state_matches_kron_sum(self, state, extra):
+        cutoff = default_cutoff(state) + extra
+        fm = build_state(state, None if extra == 0 else cutoff)
+        assert fm.cutoff == cutoff
+        assert np.max(np.abs(fm.data - kron_sum_state(state, cutoff))) < 1e-14
+
+    @pytest.mark.parametrize("state", [st for st in factored_cases() if len(st.weights) > 1],
+                             ids=lambda st: f"n{st.n}-k{len(st.weights)}")
+    def test_batched_char_trace_matches_dense_trace(self, state):
+        fm = build_state(state)
+        rng = make_rng(13)
+        pts = 1.2 * (rng.normal(size=(9, state.n)) + 1j * rng.normal(size=(9, state.n)))
+        batch = char_trace(fm, pts)
+        assert batch.shape == (9,)
+        for p, got in zip(pts, batch):
+            dense = np.sum(fm.data.T * displacement_matrix(p, fm.cutoff).data)
+            assert abs(got - dense) < 1e-12
+            one = char_trace(fm, p)
+            assert type(one) is complex and abs(one - dense) < 1e-12
+
+    def test_char_trace_blocks_of_points_agree(self):
+        # more points than one block holds at this cutoff
+        st = make_three_peak(1, 0.6, 0.2, np.array([0.8]))
+        fm = build_state(st, 200)
+        rng = make_rng(14)
+        pts = rng.normal(size=(20, 1)) + 1j * rng.normal(size=(20, 1))
+        pts = np.concatenate([pts] * 3)
+        batch = char_trace(fm, pts)
+        assert np.max(np.abs(batch.reshape(3, 20) - batch[:20])) < 1e-14
+        assert abs(batch[0] - char_trace(fm, pts[0])) < 1e-12
+
+    def test_point_shape_checked(self):
+        fm = build_state(make_three_peak(2, 0.4, 0.2, np.array([0.3, 0.1j])))
+        with pytest.raises(ValidationError, match="shape"):
+            char_trace(fm, np.zeros(3, dtype=complex))
+        with pytest.raises(ValidationError, match="shape"):
+            char_trace(fm, np.zeros((4, 1), dtype=complex))
+
+    def test_two_mode_cutoff_too_small_raises_with_suggestion(self):
+        st = make_three_peak(2, 0.7, 0.2, np.array([1.5, -1.0j]))
+        with pytest.raises(ValidationError, match="suggested cutoff"):
+            build_state(st, 6)
+
+
 class TestHusimiWigner:
     def test_husimi_matches_s_qpd(self):
         st = make_three_peak(1, 0.6, 0.22, np.array([1.1 - 0.2j]))

@@ -406,3 +406,54 @@ class TestRecordChecks:
         self._write(path, self._header(), [[0.1, 0.2]] * 3 + [[0.1]])
         with pytest.raises(ValidationError, match="malformed"):
             MeasurementRecord.read_jsonl(path)
+
+    def _write_text(self, path, body):
+        path.write_text(json.dumps(self._header()) + "\n" + body)
+
+    def test_row_split_over_two_lines_rejected(self, tmp_path):
+        # "[0.1" and " 0.2]" joined by a comma would read as one row
+        path = tmp_path / "rec.jsonl"
+        self._write_text(path, "[0.1, 0.2]\n" * 2 + "[0.1\n 0.2]\n[0.1, 0.2]\n")
+        with pytest.raises(ValidationError, match="malformed"):
+            MeasurementRecord.read_jsonl(path)
+
+    def test_two_arrays_on_one_line_rejected(self, tmp_path):
+        path = tmp_path / "rec.jsonl"
+        self._write_text(path, "[0.1, 0.2], [0.3, 0.4]\n" + "[0.1, 0.2]\n" * 2)
+        with pytest.raises(ValidationError, match="malformed"):
+            MeasurementRecord.read_jsonl(path)
+
+    def test_split_row_and_double_line_together_rejected(self, tmp_path):
+        # as many lines as rows and as many brackets as lines, yet no line
+        # holds one row
+        path = tmp_path / "rec.jsonl"
+        self._write_text(path, "[0.1\n 0.2], [0.3, 0.4]\n" + "[0.1, 0.2]\n" * 2)
+        with pytest.raises(ValidationError, match="malformed"):
+            MeasurementRecord.read_jsonl(path)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_written_bytes_match_json_dumps_per_row(self, tmp_path, n):
+        rng = make_rng(11)
+        z = rng.normal(size=(50, 2 * n)) * 10.0 ** rng.integers(-8, 8, size=(50, 2 * n)) \
+            + 1j * rng.normal(size=(50, 2 * n))
+        z[0, 0] = -0.0 + 0j
+        z[1, 0] = 1e300 - 1e-300j
+        # a strided view, as a caller slicing a wider array would pass
+        rec = MeasurementRecord(scheme="bell", outcomes=z[:, ::2],
+                                state_descriptor={"k": [1, 2]}, seed=9, n=n)
+        path = tmp_path / "rec.jsonl"
+        rec.write_jsonl(path)
+        header = {"scheme": "bell", "n": n, "seed": 9, "count": 50,
+                  "state_descriptor": {"k": [1, 2]}}
+        expect = json.dumps(header) + "\n" + "".join(
+            json.dumps([v for c in row for v in (float(c.real), float(c.imag))]) + "\n"
+            for row in rec.outcomes)
+        assert path.read_bytes() == expect.encode()
+        back = MeasurementRecord.read_jsonl(path)
+        assert np.array_equal(back.outcomes, rec.outcomes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outcomes_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            MeasurementRecord(scheme="heterodyne", outcomes=np.array([0.5, bad]),
+                              state_descriptor={}, seed=0, n=1)
