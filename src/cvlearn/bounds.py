@@ -2,8 +2,8 @@
 tables for figure reproduction.
 
 Lower-bound constants are the explicit ones from the hypothesis-testing
-reductions; upper bounds reuse the planner's Hoeffding constants, which are
-this artifact's normative choice for the O(.) factors. CONSTANTS_VERSION is
+reductions; upper bounds are the planner's Hoeffding counts, this artifact's
+normative choice for the O(.) factors. CONSTANTS_VERSION is
 embedded in every emitted table so figure data is self-describing.
 """
 
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 from .errors import HypothesisViolation, ValidationError
-from .estimators import hoeffding_count_float
+from .estimators import PlannerInputs, effective_radius, hoeffding_count_float, scheme_cost
 
 CONSTANTS_VERSION = "hoeffding-4B2-ln4M/delta-v1"
 
@@ -57,7 +57,11 @@ def _check_eta3(inp: BoundInputs, eps_sup: float, slack_coeff: float):
 
 
 def _growth(base_coeff: float, kappa: float, n_exponent: float) -> float:
-    return math.exp(n_exponent * math.log1p(base_coeff * kappa))
+    """(1 + base_coeff kappa)^n_exponent; inf when it overflows a float."""
+    try:
+        return math.exp(n_exponent * math.log1p(base_coeff * kappa))
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +140,9 @@ def classicality_thresholds(S: float, n: int, epsilon: float) -> ClassicalityThr
     kappa_star = 1.0 / (2.0 * f) - 1.0 / 0.99
     r = (0.99 / (2.0 * n)) * math.log(EPS_SUP_THREE_PEAK / epsilon)
     s_cap = math.sqrt(r * r + 2.0 * r) / (r + 1.0)
-    l_eps = (2.0 / S) * math.log(1.0 / epsilon)
     return ClassicalityThresholds(
-        f=f, kappa_min=kappa_min, kappa_max=kappa_max, kappa_star=kappa_star,
-        s_cap=s_cap, L_eps=l_eps, domain_nonempty=kappa_min <= kappa_max)
+        f=f, kappa_min=kappa_min, kappa_max=kappa_max, kappa_star=kappa_star, s_cap=s_cap,
+        L_eps=effective_radius(S, epsilon), domain_nonempty=kappa_min <= kappa_max)
 
 
 def lb_ef_classical(inp: BoundInputs) -> float:
@@ -164,24 +167,22 @@ def lb_ef_classical(inp: BoundInputs) -> float:
 # Upper bounds (planner constants)
 # ---------------------------------------------------------------------------
 
-def _ceil_if_finite(x: float) -> float:
-    return float(math.ceil(x)) if math.isfinite(x) else float("inf")
+def _planned(scheme: str, inp: BoundInputs, **extra) -> float:
+    """The planner's count for `scheme` at inp's (epsilon, delta, M); inf past a float."""
+    planner = PlannerInputs(inp.epsilon, inp.delta, inp.M, **extra)
+    raw = hoeffding_count_float(*scheme_cost(scheme, planner), inp.delta, inp.M)
+    return float(math.ceil(raw)) if math.isfinite(raw) else math.inf
 
 
 def ub_hd(inp: BoundInputs) -> float:
     """Plain heterodyne cost for queries in the ball |alpha|^2 <= kappa n."""
     _require(inp.kappa >= 0.0, "kappa >= 0")
-    try:
-        b = math.exp(inp.kappa * inp.n / 2.0)
-    except OverflowError:
-        return float("inf")
-    return _ceil_if_finite(hoeffding_count_float(b, inp.epsilon, inp.delta, inp.M))
+    return _planned("heterodyne", inp, alpha2_max=inp.kappa * inp.n)
 
 
 def ub_bm(inp: BoundInputs) -> float:
     """Bell-measurement cost for chi up to a sign (n-independent)."""
-    return _ceil_if_finite(hoeffding_count_float(
-        1.0, inp.epsilon ** 2 / 3.0, inp.delta, inp.M))
+    return _planned("bell_chi", inp)
 
 
 def ub_hd_classical(inp: BoundInputs) -> float:
@@ -192,11 +193,8 @@ def ub_hd_classical(inp: BoundInputs) -> float:
     """
     if inp.S is None or not (0.0 < inp.S <= 1.0):
         raise HypothesisViolation("S in (0, 1]")
-    l_eps = (2.0 / inp.S) * math.log(1.0 / inp.epsilon)
-    if inp.kappa * inp.n <= l_eps:
-        return ub_hd(inp)
-    b = inp.epsilon ** (-1.0 / inp.S)
-    return _ceil_if_finite(hoeffding_count_float(b, inp.epsilon, inp.delta, inp.M))
+    flat = _planned("classicality_aware", inp, S=inp.S)  # checks epsilon before the log
+    return ub_hd(inp) if inp.kappa * inp.n <= effective_radius(inp.S, inp.epsilon) else flat
 
 
 BOUND_FAMILIES = {

@@ -105,13 +105,17 @@ def _state_smax(state: PeakState) -> float | None:
     return None if g is None else classicality_smax(state.nu, state.eps0, g).s_max
 
 
-def bochner_check(lam, points, tol: float = 1e-8):
-    """PSD check of the Gram matrix [lambda(a_j - a_k)] on one point set."""
+def _gram(lam, points) -> np.ndarray:
+    """The Gram matrix [lambda(a_j - a_k)] on one point set."""
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     m = pts.shape[0]
     diffs = (pts[:, None, :] - pts[None, :, :]).reshape(m * m, -1)
-    gram = np.asarray(lam(diffs)).reshape(m, m)
-    return psd_check(gram, tol=tol)
+    return np.asarray(lam(diffs)).reshape(m, m)
+
+
+def bochner_check(lam, points, tol: float = 1e-8):
+    """PSD check of the Gram matrix [lambda(a_j - a_k)] on one point set."""
+    return psd_check(_gram(lam, points), tol=tol)
 
 
 @dataclass
@@ -212,10 +216,6 @@ def fock1_negativity_annulus(c_channel: float):
 
 def bochner_witness_c0():
     """The r = 0 witness: points {0, alpha} with |alpha|^2 = 4 give min eig -8."""
-    lam = fock1_lambda(0.0)
-    points = np.array([[0.0 + 0.0j], [2.0 + 0.0j]])
-    ok, min_eig = bochner_check(lam, points)
-    pts = np.atleast_2d(points)
-    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(4, 1)
-    gram = np.asarray(lam(diffs)).reshape(2, 2)
+    gram = _gram(fock1_lambda(0.0), np.array([[0.0 + 0.0j], [2.0 + 0.0j]]))
+    ok, min_eig = psd_check(gram, tol=1e-8)
     return {"matrix": gram, "psd": ok, "min_eigenvalue": min_eig}

@@ -5,8 +5,8 @@ the real and imaginary parts with per-part failure budget delta/(4M) gives
 
     N = ceil( 4 B^2 ln(4M/delta) / eps_target^2 )
 
-for a summand-modulus bound B. Every acceptance criterion that mentions a
-planned N uses these constants.
+for the summand-modulus bound B and target that `scheme_cost` gives each
+scheme. The upper bounds and every planned N in the acceptance criteria use them.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def effective_radius(classicality: float, epsilon: float) -> float:
     return (2.0 / classicality) * math.log(1.0 / epsilon)
 
 
-def plan_samples(scheme: str, inputs: PlannerInputs) -> int:
-    """Copies needed for all M queries to meet eps at confidence 1 - delta.
+def scheme_cost(scheme: str, inputs: PlannerInputs) -> tuple[float, float]:
+    """(B, eps_target): summand-modulus bound (inf beyond a float) and Hoeffding target.
 
     bell_chi2        : |v - chi^2| <= eps,           B = 1
     bell_chi         : min_tau |tau u - chi| <= eps via the sign-resolution
@@ -85,18 +85,25 @@ def plan_samples(scheme: str, inputs: PlannerInputs) -> int:
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    eps, delta, m = inputs.epsilon, inputs.delta, inputs.M
+    eps = inputs.epsilon
     if scheme == "bell_chi2":
-        return hoeffding_count(1.0, eps, delta, m)
+        return 1.0, eps
     if scheme == "bell_chi":
-        return hoeffding_count(1.0, eps * eps / 3.0, delta, m)
-    if scheme == "heterodyne":
-        if inputs.alpha2_max is None or inputs.alpha2_max < 0:
-            raise ValidationError("heterodyne planning needs alpha2_max >= 0")
-        return hoeffding_count(math.exp(inputs.alpha2_max / 2.0), eps, delta, m)
-    if inputs.S is None or not (0.0 < inputs.S <= 1.0):
+        return 1.0, eps * eps / 3.0
+    if scheme == "heterodyne" and (inputs.alpha2_max is None or inputs.alpha2_max < 0):
+        raise ValidationError("heterodyne planning needs alpha2_max >= 0")
+    if scheme == "classicality_aware" and (inputs.S is None or not (0.0 < inputs.S <= 1.0)):
         raise ValidationError("classicality-aware planning needs S in (0, 1]")
-    return hoeffding_count(eps ** (-1.0 / inputs.S), eps, delta, m)
+    try:
+        return (math.exp(inputs.alpha2_max / 2.0) if scheme == "heterodyne"
+                else eps ** (-1.0 / inputs.S)), eps
+    except OverflowError:
+        return math.inf, eps
+
+
+def plan_samples(scheme: str, inputs: PlannerInputs) -> int:
+    """Copies needed for all M queries to meet eps at confidence 1 - delta."""
+    return hoeffding_count(*scheme_cost(scheme, inputs), inputs.delta, inputs.M)
 
 
 # ---------------------------------------------------------------------------

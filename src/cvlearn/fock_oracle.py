@@ -1,9 +1,9 @@
 """Brute-force truncated Fock-basis oracle.
 
-Builds dense matrices for peak states, displacement operators, and the photon
-number operator at 1-2 modes, so every closed-form evaluator in `states` can
-be validated against an independent numerical route. Validation support only;
-dimensions are capped accordingly.
+Builds dense matrices for peak states and displacement operators at 1-2
+modes, so every closed-form evaluator in `states` can be validated against an
+independent numerical route. Validation support only; dimensions are capped
+accordingly.
 
 The dense work is factored by mode. A displacement is `D1(a1) x D2(a2)` and
 the thermal filter is `F x F` with `F = diag(nu^m)`, so `build_state` forms
@@ -90,11 +90,6 @@ def _number_diag(n: int, cutoff: int) -> np.ndarray:
     return diag
 
 
-def number_operator(n: int, cutoff: int) -> FockMatrix:
-    _check_shape(n, cutoff)
-    return FockMatrix(n=n, cutoff=cutoff, data=np.diag(_number_diag(n, cutoff)))
-
-
 def _swap_middle(m: np.ndarray, cutoff: int) -> np.ndarray:
     """A two-mode matrix indexed (a,b),(c,d) as a new one indexed (a,c),(b,d).
 
@@ -104,8 +99,7 @@ def _swap_middle(m: np.ndarray, cutoff: int) -> np.ndarray:
     return m.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c * c, c * c)
 
 
-def build_state(state: PeakState, cutoff: int | None = None,
-                trace_tol: float = 1e-8) -> FockMatrix:
+def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
     """Dense density matrix (1-nu^2)^n nu^N (sum_k w_k D^dag(gamma_k)) nu^N.
 
     Each term factors by mode: (1-nu^2) F D(-g_{k,i}) F with F = diag(nu^m),
@@ -130,7 +124,7 @@ def build_state(state: PeakState, cutoff: int | None = None,
         rho = _swap_middle(ac_bd, cutoff)
         del ac_bd  # freed before the Hermitian check adds its dense temporaries
     trace_err = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-    if trace_err > trace_tol:
+    if trace_err > 1e-8:
         raise ValidationError(
             f"cutoff {cutoff} too small: |Tr rho - 1| = {trace_err:.2e}; "
             f"suggested cutoff >= {default_cutoff(state)}")
@@ -258,11 +252,11 @@ def petz_d2(state_gamma: PeakState, state_thermal: PeakState,
 # ---------------------------------------------------------------------------
 
 def oracle_check(state: PeakState, cutoff: int | None = None,
-                 rng: np.random.Generator | None = None, points: int = 20) -> dict:
-    """Compare closed forms against the oracle at random points; returns a summary."""
+                 rng: np.random.Generator | None = None) -> dict:
+    """Compare closed forms against the oracle at 20 random points; returns a summary."""
     rng = rng or np.random.default_rng(0)
     fm = build_state(state, cutoff)
-    pts = (rng.normal(size=(points, state.n)) + 1j * rng.normal(size=(points, state.n)))
+    pts = (rng.normal(size=(20, state.n)) + 1j * rng.normal(size=(20, state.n)))
     closed = char_fn(state, pts)
     numeric = char_trace(fm, pts)
     return {

@@ -28,7 +28,6 @@ from .numerics import (
 )
 from .states import (
     PeakState,
-    apply_circuit,
     bell_partner,
     char_fn,
     filter_variances,
@@ -235,16 +234,14 @@ def _copy_blocks(cfg: GameConfig, state: PeakState):
 
     `estimate(outcomes, gamma)` is the block's estimator (chi^2 for Bell, chi
     for heterodyne) at the revealed gamma, as a length-1 array.
-    Bell pairs the state with the circuit-propagated copy for the
-    reflection-symmetric five-peak family, else with the reflected state.
+    Bell pairs the state with `bell_partner`, its conjugate.
     Heterodyne measures the `o` copies of `order` as they are and the `r`
     copies reflected; a reflected copy's chi at U gamma* equals chi at gamma.
     Only blocks with copies are built.
     """
     if cfg.bob == "ea_bell":
-        partner = (apply_circuit(state, cfg.u) if cfg.family == "five_peak"
-                   else bell_partner(state, cfg.u))
-        return [(bell_mixture(state, partner), cfg.copies, chi_squared_means)]
+        return [(bell_mixture(state, bell_partner(state, cfg.u)), cfg.copies,
+                 chi_squared_means)]
     n_o = (cfg.order * (cfg.copies // len(cfg.order) + 1))[:cfg.copies].count("o")
     blocks = []
     if n_o:
@@ -291,12 +288,11 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
             blocks = _copy_blocks(cfg, _make_state(cfg, s * gamma)) if peaked else null_blocks
             est = complex(sum(count * estimate(mix.sample(count, rng, dtype=np.float32), gamma)[0]
                               for mix, count, estimate in blocks)) / cfg.copies
+            # the peaked chi at gamma is chi0 + i gap; Bell pairs estimate its square
             chi0 = complex(char_fn(thermal, gamma))
-            if cfg.bob == "ea_bell":
-                gap2 = gap * math.sqrt(gap * gap + 4.0 * abs(chi0) ** 2)
-                target, threshold = chi0 ** 2, gap2 / 2.0
-            else:
-                target, threshold = chi0, gap / 2.0
+            p = 2 if cfg.bob == "ea_bell" else 1
+            target = chi0 ** p
+            threshold = abs((chi0 + 1j * gap) ** p - target) / 2.0
             decision = abs(est - target) > threshold
             entry.update(used_estimate=True, estimate=[est.real, est.imag],
                          threshold=threshold)

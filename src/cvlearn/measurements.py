@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError, NumericFailure
 from .numerics import make_rng
-from .states import PeakState, char_fn, merge_coincident, s_ordered_peaks
+from .states import PeakState, char_fn, hermitian_partners, merge_coincident, s_ordered_peaks
 
 ENVELOPE_GUARD = {np.float64: 1e-9, np.float32: 3e-6}
 PAIR_TOL = 1e-10    # |f_j + f_partner| and |Im Q| allowed by Hermitian pairing
@@ -48,7 +48,7 @@ class SignedGaussianMixture:
     with coincident oscillations merged; the normalization audit must give 1.
     """
 
-    def __init__(self, n: int, variance: float, freqs, coefs, audit_tol: float = 1e-6):
+    def __init__(self, n: int, variance: float, freqs, coefs):
         self.n = int(n)
         self.variance = float(variance)
         self.freqs = np.asarray(freqs, dtype=complex).reshape(-1, self.n)
@@ -61,7 +61,7 @@ class SignedGaussianMixture:
         self.envelope_mass = float(np.sum(np.abs(amps)))
         self.normalization_audit = float(np.real(np.sum(
             amps * np.exp(-0.5 * self.variance * np.sum(np.abs(oscs) ** 2, axis=1)))))
-        if abs(self.normalization_audit - 1.0) > audit_tol:
+        if abs(self.normalization_audit - 1.0) > 1e-6:
             raise NumericFailure(
                 f"mixture normalization audit failed: integral = {self.normalization_audit}")
 
@@ -69,10 +69,9 @@ class SignedGaussianMixture:
         """Pair the peaks and fold the bracket into the real form x^T Q x."""
         f = self.freqs
         zero = np.linalg.norm(f, axis=1) <= PAIR_TOL
-        dist = np.linalg.norm(f[:, None] + f[None], axis=2)
-        partner = np.argmin(dist, axis=1)
+        partner, dist = hermitian_partners(f)
         idx = np.arange(len(f))
-        if np.any(~zero & ((dist.min(axis=1) > PAIR_TOL) | (partner[partner] != idx))):
+        if np.any(~zero & ((dist > PAIR_TOL) | (partner[partner] != idx))):
             raise NumericFailure("oscillation term lacks its conjugate partner")
         reps = np.flatnonzero(~zero & (idx < partner))
         cos_col = 1 + 2 * np.arange(len(reps))
@@ -192,7 +191,7 @@ def heterodyne_mixture(state: PeakState) -> SignedGaussianMixture:
     return SignedGaussianMixture(n=state.n, variance=t / 2.0, freqs=freqs, coefs=amps)
 
 
-def _validate_bell_pair(state: PeakState, partner: PeakState, tol: float = 1e-8):
+def _validate_bell_pair(state: PeakState, partner: PeakState):
     """The Bell inputs must satisfy chi_partner(alpha*) = chi_state(alpha).
 
     The partner is the reflected state sent through the linear-optical
@@ -203,7 +202,7 @@ def _validate_bell_pair(state: PeakState, partner: PeakState, tol: float = 1e-8)
     rng = np.random.default_rng(0x5EED)
     pts = (rng.normal(size=(16, state.n)) + 1j * rng.normal(size=(16, state.n)))
     err = np.max(np.abs(char_fn(partner, np.conj(pts)) - char_fn(state, pts)))
-    if err > tol:
+    if err > 1e-8:
         raise ValidationError(
             "Bell input pair violates the reflection contract "
             f"chi_partner(alpha*) = chi_state(alpha) (max deviation {err:.3e}); "

@@ -76,11 +76,10 @@ class PeakState:
         if side_mass > 1.0 + 1e-9:
             raise ValidationError(
                 f"sum of off-origin |weights| = {side_mass:.6f} > 1 breaks the positivity guarantee")
-        for i in offsets:
-            d = np.linalg.norm(self.centers + self.centers[i], axis=1)
-            j = int(np.argmin(d))
-            if d[j] > 1e-9 or abs(self.weights[j] - np.conj(self.weights[i])) > 1e-9:
-                raise ValidationError("peaks are not Hermitian-paired: missing (w*, -gamma) partner")
+        partner, dist = hermitian_partners(self.centers)
+        mismatch = np.abs(self.weights[partner[offsets]] - np.conj(self.weights[offsets]))
+        if np.any((dist[offsets] > 1e-9) | (mismatch > 1e-9)):
+            raise ValidationError("peaks are not Hermitian-paired: missing (w*, -gamma) partner")
 
     # -- derived thermal-filter parameters ---------------------------------
     @property
@@ -100,24 +99,16 @@ class PeakState:
         return make_thermal(self.n, self.nu)
 
     def peak_multiset_equal(self, other: "PeakState", tol: float = 1e-9) -> bool:
+        """Same (n, nu), and each peak within tol of a distinct nearest peak of `other`."""
         if self.n != other.n or abs(self.nu - other.nu) > tol:
             return False
         if len(self.weights) != len(other.weights):
             return False
-        used = np.zeros(len(other.weights), dtype=bool)
-        for w, g in zip(self.weights, self.centers):
-            found = False
-            for j in range(len(other.weights)):
-                if used[j]:
-                    continue
-                if (abs(other.weights[j] - w) <= tol
-                        and np.linalg.norm(other.centers[j] - g) <= tol):
-                    used[j] = True
-                    found = True
-                    break
-            if not found:
-                return False
-        return True
+        gap = np.maximum(np.abs(self.weights[:, None] - other.weights[None]),
+                         np.linalg.norm(self.centers[:, None] - other.centers[None], axis=2))
+        near = np.argmin(gap, axis=1)
+        return bool(np.all(gap[np.arange(len(near)), near] <= tol)
+                    and len(np.unique(near)) == len(near))
 
     # -- JSON schema: {n, nu, eps0?, peaks: [{w_re, w_im, center: [{re, im}...]}]}
     def to_json_dict(self) -> dict:
@@ -153,6 +144,13 @@ class PeakState:
     @staticmethod
     def from_json(s: str) -> "PeakState":
         return PeakState.from_json_dict(json.loads(s))
+
+
+def hermitian_partners(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row v_i, the index j of its nearest -v_i partner and |v_i + v_j|."""
+    dist = np.linalg.norm(vectors[:, None] + vectors[None], axis=2)
+    partner = np.argmin(dist, axis=1)
+    return partner, dist[np.arange(len(vectors)), partner]
 
 
 def merge_coincident(weights: np.ndarray, vectors: np.ndarray, drop: float):
@@ -211,10 +209,9 @@ def three_peak_plus(state: PeakState) -> np.ndarray | None:
     """Center gamma of a three-peak state's (2i eps0, gamma) peak; None for other layouts."""
     if state.eps0 is None or len(state.weights) != 3:
         return None
-    for w, g in zip(state.weights, state.centers):
-        if w.imag > 0 and np.linalg.norm(g) > MERGE_TOL:
-            return g
-    return None
+    hit = np.flatnonzero((state.weights.imag > 0)
+                         & (np.linalg.norm(state.centers, axis=1) > MERGE_TOL))
+    return state.centers[hit[0]] if hit.size else None
 
 
 def make_three_peak_classical(n: int, classicality: float, eps0: float, gamma) -> PeakState:
@@ -255,8 +252,15 @@ def apply_circuit(state: PeakState, u: SymmetricUnitary) -> PeakState:
 
 
 def bell_partner(state: PeakState, u: SymmetricUnitary) -> PeakState:
-    """The second Bell-measurement input: the reflected state sent through the circuit."""
-    return apply_circuit(reflect(state, u), u)
+    """The second Bell-measurement input: the reflected state sent through the circuit.
+
+    Reflection maps gamma to U^T gamma* and the circuit maps that to
+    U* U^T gamma* = gamma*, so for every U the partner is the conjugate state.
+    """
+    if u.n != state.n:
+        raise ValidationError("reflection unitary dimension mismatch")
+    return PeakState(n=state.n, nu=state.nu, weights=state.weights.copy(),
+                     centers=np.conj(state.centers), eps0=state.eps0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from cvlearn.bounds import (
     ub_hd_classical,
 )
 from cvlearn.errors import HypothesisViolation, ValidationError
+from cvlearn.estimators import PlannerInputs, plan_samples
 from cvlearn.numerics import regularized_upper_gamma
 from cvlearn.states import make_thermal, s_prime
 
@@ -246,6 +247,28 @@ class TestUpperBounds:
     def test_ub_hd_overflow_is_inf(self):
         assert math.isinf(ub_hd(inputs(kappa=20.0, n=100)))
 
+    def test_ub_hd_classical_overflow_is_inf(self):
+        # beyond L_eps(S) = 2000 log(1000) the bound is eps^{-1/S} = 1e3000
+        assert ub_hd_classical(inputs(epsilon=1e-3, S=1e-3, kappa=2e4, n=1)) == math.inf
+
+    def test_upper_bounds_are_planner_counts(self):
+        for eps, delta, m in [(0.1, 0.1, 10), (0.05, 1 / 3, 1), (0.3, 0.01, 7)]:
+            planner = dict(epsilon=eps, delta=delta, M=m)
+            inp = inputs(kappa=1.3, n=4, S=0.5, **planner)
+            assert ub_bm(inp) == plan_samples("bell_chi", PlannerInputs(**planner))
+            assert ub_hd(inp) == plan_samples(
+                "heterodyne", PlannerInputs(alpha2_max=1.3 * 4, **planner))
+            beyond = inputs(kappa=100.0, n=4, S=0.5, **planner)
+            assert ub_hd_classical(beyond) == plan_samples(
+                "classicality_aware", PlannerInputs(S=0.5, **planner))
+
+    def test_planner_input_errors(self):
+        for bad in [dict(epsilon=0.0), dict(epsilon=1.5), dict(delta=1.0),
+                    dict(delta=-0.1), dict(M=0)]:
+            for ub in (ub_bm, ub_hd, ub_hd_classical):
+                with pytest.raises(ValidationError, match="must lie in|M must be"):
+                    ub(inputs(S=0.5, **bad))
+
 
 class TestEmitCurves:
     def test_gamma_ratio_inequality_spot_points(self):
@@ -284,6 +307,16 @@ class TestEmitCurves:
         meta = json.loads((tmp_path / "curve.csv.json").read_text())
         assert meta["constants_version"] == CONSTANTS_VERSION
         assert meta["inputs"]["n"] == 50
+
+    def test_overflowing_lower_bounds_are_gaps(self):
+        families = ["lb_ef", "lb_ef_symmetric", "lb_ea_no_reflected"]
+        for fam in (lb_ef, lb_ef_symmetric, lb_ea_no_reflected):
+            assert fam(inputs(kappa=2.0, n=2000, epsilon=0.09)) == math.inf
+        table = emit_curves("n", [8, 2000], families, inputs(kappa=2.0, epsilon=0.09))
+        for fam in families:
+            assert table.values[fam][0] > 0 and table.values[fam][1] is None
+        assert table.metadata["gaps"] == [
+            {"family": fam, "n": 2000.0, "hypothesis": "value overflows"} for fam in families]
 
     def test_grid_must_increase(self):
         with pytest.raises(ValidationError):

@@ -118,6 +118,17 @@ class TestSampleEstimate:
         origin = complex(*payload["estimates"][1]["estimate"])
         assert origin == pytest.approx(1.0, abs=1e-12)
 
+    def test_bell_record_independent_of_unitary(self, tmp_path):
+        # the Bell partner is the conjugate state for every U
+        spath = tmp_path / "st.json"
+        spath.write_text(make_three_peak(2, 0.6, 0.2, np.array([1.0 + 0.5j, -0.3])).to_json())
+        recs = [tmp_path / f"{k}.jsonl" for k in (3, 4)]
+        for k, path in zip((3, 4), recs):
+            assert main(["sample", "--state", str(spath), "--scheme", "bell",
+                         "--u-seed", str(k), "--count", "200", "--seed", "5",
+                         "--out", str(path)]) == 0
+        assert recs[0].read_bytes() == recs[1].read_bytes()
+
     def test_sampling_reproducible_bytes(self, tmp_path):
         st = make_three_peak(1, 0.5, 0.2, np.array([0.5]))
         spath = tmp_path / "st.json"
@@ -130,6 +141,18 @@ class TestSampleEstimate:
 
 
 class TestBoundsGameChannelOracle:
+    def test_bounds_curve_overflow_is_a_gap(self, tmp_path):
+        out = tmp_path / "c.csv"
+        rc = main(["bounds", "curve", "--axis", "n", "--families", "lb_ef",
+                   "--grid-min", "8", "--grid-max", "1000", "--points", "5",
+                   "--epsilon", "0.09", "--kappa", "2", "--out", str(out)])
+        assert rc == 0
+        gaps = json.loads((tmp_path / "c.csv.json").read_text())["gaps"]
+        assert gaps == [{"family": "lb_ef", "n": n, "hypothesis": "value overflows"}
+                        for n in (752.0, 1000.0)]
+        rows = out.read_text().strip().splitlines()
+        assert rows[-2:] == ["752.0,", "1000.0,"]
+
     def test_bounds_curve_fig3_shape(self, tmp_path):
         out = tmp_path / "curve.csv"
         rc = main(["bounds", "curve", "--axis", "kappa",

@@ -18,9 +18,12 @@ from cvlearn.estimators import (
     estimate_chi_heterodyne,
     estimate_chi_squared,
     estimate_record,
+    SCHEMES,
+    hoeffding_count,
     hoeffding_count_float,
     plan_samples,
     resolve_sign,
+    scheme_cost,
 )
 from cvlearn.measurements import (
     bell_mixture,
@@ -366,6 +369,23 @@ class TestPlanner:
             plan_samples("classicality_aware", PlannerInputs(epsilon=0.1, delta=0.1, S=1.5))
         with pytest.raises(ValidationError):
             PlannerInputs(epsilon=0.0, delta=0.1)
+
+    def test_scheme_cost_is_the_planners_b_and_target(self):
+        inp = PlannerInputs(epsilon=0.1, delta=0.1, M=3, alpha2_max=4.0, S=0.5)
+        assert scheme_cost("bell_chi2", inp) == (1.0, 0.1)
+        assert scheme_cost("bell_chi", inp) == (1.0, 0.1 * 0.1 / 3.0)
+        assert scheme_cost("heterodyne", inp) == (math.exp(2.0), 0.1)
+        assert scheme_cost("classicality_aware", inp) == (0.1 ** -2.0, 0.1)
+        for scheme in SCHEMES:
+            assert plan_samples(scheme, inp) == hoeffding_count(*scheme_cost(scheme, inp), 0.1, 3)
+
+    def test_overflow_raises_validation_error(self):
+        cases = [("heterodyne", PlannerInputs(epsilon=0.1, delta=0.1, alpha2_max=1500.0)),
+                 ("classicality_aware", PlannerInputs(epsilon=1e-3, delta=0.1, S=1e-3))]
+        for scheme, inp in cases:
+            assert scheme_cost(scheme, inp)[0] == math.inf
+            with pytest.raises(ValidationError, match="overflows a float"):
+                plan_samples(scheme, inp)
 
 
 def test_estimate_report_serializes():

@@ -233,6 +233,36 @@ class TestRunGame:
         assert len(built) == blocks * (1 + peaked + 2 * cfg.tvd_gamma_draws)
 
 
+class TestThresholds:
+    @pytest.mark.parametrize("family", ["three_peak", "five_peak"])
+    @pytest.mark.parametrize("bob", ["ea_bell", "ef_heterodyne"])
+    def test_in_window_thresholds_match_gap_formulas(self, family, bob):
+        nu, eps0 = 0.9, 0.25
+        sigma2, Sigma2 = 0.5 * (1.0 / nu - nu), (1.0 + nu) / (1.0 - nu)
+        u = random_symmetric_unitary(2, make_rng(91))
+        v = takagi_decompose(u).v
+        cfg = GameConfig(family=family, n=2, nu=nu, eps0=eps0, kappa=2.0, copies=5, u=u,
+                         trials=60, bob=bob, seed=5, estimate_tvd=False)
+        checked = 0
+        for entry in run_game(cfg).per_trial:
+            if not entry["in_window"]:
+                continue
+            g = np.array([complex(re, im) for re, im in entry["gamma"]])
+            g2 = float(np.sum(np.abs(g) ** 2))
+            if family == "three_peak":
+                gap = 2 * eps0 * math.exp(-g2 / Sigma2) * (1 - math.exp(-2 * g2 / sigma2))
+            else:
+                gp = np.conj(v).T @ g
+                r2, i2 = float(np.sum(gp.real ** 2)), float(np.sum(gp.imag ** 2))
+                gap = (eps0 * math.exp(-(r2 + i2) / Sigma2) * (1 + math.exp(-2 * i2 / sigma2))
+                       * (1 - math.exp(-2 * r2 / sigma2)))
+            chi0 = math.exp(-g2 / (2 * Sigma2) - g2 / (2 * sigma2))
+            expect = gap * math.sqrt(gap ** 2 + 4 * chi0 ** 2) / 2 if bob == "ea_bell" else gap / 2
+            assert entry["threshold"] == pytest.approx(expect, rel=1e-12)
+            checked += 1
+        assert checked >= 10
+
+
 class TestTvd:
     def make_pm(self, n, nu, eps0):
         def pm(g):

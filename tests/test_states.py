@@ -23,6 +23,7 @@ from cvlearn.states import (
     f1,
     f2,
     fock1_char,
+    hermitian_partners,
     make_five_peak,
     make_thermal,
     make_three_peak,
@@ -212,6 +213,94 @@ class TestReflect:
         partner = bell_partner(st, u)
         pts = rand_points(rng, 60, 2, 2.0)
         assert np.max(np.abs(char_fn(partner, np.conj(pts)) - char_fn(st, pts))) < 1e-12
+
+
+class TestBellPartner:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_conjugate_state(self, n):
+        rng = make_rng(60 + n)
+        u = random_symmetric_unitary(n, rng)
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for st in (make_three_peak(n, 0.7, 0.1, g), make_five_peak(n, 0.7, 0.1, g, u)):
+            partner = bell_partner(st, u)
+            assert np.array_equal(partner.centers, np.conj(st.centers))
+            assert np.array_equal(partner.weights, st.weights)
+            assert partner.peak_multiset_equal(apply_circuit(reflect(st, u), u), tol=1e-12)
+        # the five-peak state is reflection symmetric: the circuit alone gives it
+        assert partner.peak_multiset_equal(apply_circuit(st, u), tol=1e-12)
+
+    def test_dimension_mismatch(self):
+        st = make_three_peak(2, 0.7, 0.1, np.array([0.5, 1.0j]))
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            bell_partner(st, random_symmetric_unitary(3, make_rng(70)))
+
+
+class TestHermitianPairing:
+    def test_partners_and_distances(self):
+        v = np.array([[0.0], [1.0 + 1j], [-1.0 - 1j], [0.5], [-0.5 + 1e-3j]])
+        partner, dist = hermitian_partners(v)
+        assert partner.tolist() == [0, 2, 1, 4, 3]
+        assert np.allclose(dist, [0.0, 0.0, 0.0, 1e-3, 1e-3], rtol=0, atol=1e-15)
+
+    def test_unconjugated_partner_weight(self):
+        w = 0.1 + 0.05j
+        with pytest.raises(ValidationError, match="not Hermitian-paired"):
+            PeakState(n=1, nu=0.6, weights=[1.0, w, w], centers=[[0.0], [0.8], [-0.8]])
+
+    def test_displaced_partner(self):
+        w = 0.1 + 0.05j
+        with pytest.raises(ValidationError, match="not Hermitian-paired"):
+            PeakState(n=1, nu=0.6, weights=[1.0, w, np.conj(w)],
+                      centers=[[0.0], [0.8], [-0.8 - 1e-8]])
+
+
+class TestPeakMultisetEqual:
+    def test_permuted_peaks(self):
+        u = random_symmetric_unitary(2, make_rng(71))
+        st = make_five_peak(2, 0.6, 0.1, np.array([0.4 + 0.2j, -0.7]), u)
+        perm = [3, 0, 4, 2, 1]
+        other = PeakState(n=2, nu=0.6, weights=st.weights[perm], centers=st.centers[perm])
+        assert st.peak_multiset_equal(other, tol=0.0)
+
+    def test_weight_off_by_two_tol(self):
+        tol = 1e-9
+        st = make_three_peak(1, 0.6, 0.1, np.array([0.8]))
+        w = st.weights + np.array([0.0, 2j * tol, -2j * tol])
+        other = PeakState(n=1, nu=0.6, weights=w, centers=st.centers)
+        assert not st.peak_multiset_equal(other, tol=tol)
+        assert st.peak_multiset_equal(other, tol=3 * tol)
+
+    def test_matches_first_fit_loop_below_peak_spacing(self):
+        def first_fit(a, b, tol):
+            used = np.zeros(len(b.weights), dtype=bool)
+            for w, g in zip(a.weights, a.centers):
+                hits = [j for j in range(len(b.weights)) if not used[j]
+                        and abs(b.weights[j] - w) <= tol and np.linalg.norm(b.centers[j] - g) <= tol]
+                if not hits:
+                    return False
+                used[hits[0]] = True
+            return True
+
+        rng = make_rng(72)
+        u = random_symmetric_unitary(2, rng)
+        outcomes = set()
+        for trial in range(40):
+            g = rng.normal(size=2) + 1j * rng.normal(size=2)
+            shift = 10.0 ** rng.uniform(-11, -8) * (rng.normal(size=2) + 1j * rng.normal(size=2))
+            st, other = ((make_five_peak(2, 0.6, 0.1, x, u) if trial % 2
+                          else make_three_peak(2, 0.6, 0.1, x)) for x in (g, g + shift))
+            same = st.peak_multiset_equal(other)
+            assert same == first_fit(st, other, 1e-9)
+            outcomes.add(same)
+        assert outcomes == {True, False}
+
+    def test_two_peaks_nearest_the_same_partner(self):
+        # +1.0 and +1.1 are both nearest +1.05 of `other`; a greedy first-fit
+        # would pair +1.1 with +2.0, which is also within tol
+        def state(x1, x2):
+            return PeakState(n=1, nu=0.6, weights=[1.0, 0.1j, -0.1j, 0.1j, -0.1j],
+                             centers=[[0.0], [x1], [-x1], [x2], [-x2]])
+        assert not state(1.0, 1.1).peak_multiset_equal(state(1.05, 2.0), tol=1.0)
 
 
 class TestWigner:
