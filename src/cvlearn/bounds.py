@@ -193,8 +193,9 @@ def ub_hd_classical(inp: BoundInputs) -> float:
     """
     if inp.S is None or not (0.0 < inp.S <= 1.0):
         raise HypothesisViolation("S in (0, 1]")
-    flat = _planned("classicality_aware", inp, S=inp.S)  # checks epsilon before the log
-    return ub_hd(inp) if inp.kappa * inp.n <= effective_radius(inp.S, inp.epsilon) else flat
+    if inp.kappa * inp.n <= effective_radius(inp.S, inp.epsilon):
+        return ub_hd(inp)
+    return _planned("classicality_aware", inp, S=inp.S)
 
 
 BOUND_FAMILIES = {

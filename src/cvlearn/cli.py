@@ -82,12 +82,26 @@ def _complex_rows(raw, what: str) -> np.ndarray:
     return m
 
 
+def _unitary(spec, n: int, what: str) -> SymmetricUnitary:
+    """The n-mode unitary a spec names: null is the identity, a list of rows of
+    {re, im} objects is that matrix, and {"seed": k} is the seeded random one."""
+    if spec is None:
+        return SymmetricUnitary(matrix=np.eye(n))
+    if isinstance(spec, list):
+        return SymmetricUnitary(matrix=_complex_rows(spec, what))
+    seed = spec.get("seed") if isinstance(spec, dict) and spec.keys() == {"seed"} else None
+    if isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0:
+        return random_symmetric_unitary(n, make_rng(seed))
+    raise ValidationError(
+        f"{what} must be a list of rows of {{re, im}} objects or "
+        f'{{"seed": k}} with an integer k >= 0, got {spec!r}')
+
+
 def _load_unitary(args, n: int) -> SymmetricUnitary:
     if getattr(args, "u_file", None):
-        return SymmetricUnitary(matrix=_complex_rows(_load_json(args.u_file), "--u-file"))
-    if getattr(args, "u_seed", None) is not None:
-        return random_symmetric_unitary(n, make_rng(args.u_seed))
-    return SymmetricUnitary(matrix=np.eye(n))
+        return _unitary(_load_json(args.u_file), n, "--u-file")
+    seed = getattr(args, "u_seed", None)
+    return _unitary(None if seed is None else {"seed": seed}, n, "--u-seed")
 
 
 def _load_state(args) -> PeakState:
@@ -197,14 +211,7 @@ def cmd_bounds_curve(args) -> int:
 def cmd_game_run(args) -> int:
     raw = _load_json(args.config)
     try:
-        u_spec = raw.pop("u", None)
-        n = int(raw["n"])
-        if isinstance(u_spec, list):
-            u = SymmetricUnitary(matrix=_complex_rows(u_spec, "config key u"))
-        elif isinstance(u_spec, dict) and "seed" in u_spec:
-            u = random_symmetric_unitary(n, make_rng(u_spec["seed"]))
-        else:
-            u = SymmetricUnitary(matrix=np.eye(n))
+        u = _unitary(raw.pop("u", None), int(raw["n"]), "config key u")
         cfg = GameConfig(u=u, **raw)
     except KeyError as exc:
         raise ValidationError(f"game config lacks {exc}") from exc
@@ -253,7 +260,8 @@ def _add_state_source(p, require_seed=False):
     p.add_argument("--nu", type=float)
     p.add_argument("--eps0", type=float)
     p.add_argument("--gamma", help="comma-separated a+bi literals")
-    p.add_argument("--u-file", help="symmetric unitary JSON file")
+    p.add_argument("--u-file",
+                   help='symmetric unitary JSON file: rows of {re, im} objects or {"seed": k}')
     p.add_argument("--u-seed", type=int, help="generate the unitary from this seed")
     if require_seed:
         p.add_argument("--seed", type=int, required=True,

@@ -71,6 +71,8 @@ def effective_radius(classicality: float, epsilon: float) -> float:
     """L_eps(S) = (2/S) log(1/eps): beyond it the zero estimate is eps-accurate."""
     if classicality <= 0:
         raise ValidationError("effective radius needs a positive classicality floor")
+    if not (0.0 < epsilon < 1.0):
+        raise ValidationError(f"epsilon must lie in (0,1), got {epsilon}")
     return (2.0 / classicality) * math.log(1.0 / epsilon)
 
 

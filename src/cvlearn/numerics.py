@@ -1,6 +1,9 @@
 """Shared numerical primitives: regularized incomplete gamma, Takagi
 factorization of symmetric unitaries, complex Gaussian sampling, PSD checks.
 
+The incomplete gamma and the Takagi factor wrap SciPy (``special.gammaincc``
+and ``linalg.sqrtm``); this module adds their input and reconstruction checks.
+
 All routines are pure; random sampling takes an explicit ``numpy.random.Generator``
 so Monte Carlo work can be distributed over independent streams.
 """
@@ -8,17 +11,14 @@ so Monte Carlo work can be distributed over independent streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log, exp, isfinite
+from math import isfinite
 
 import numpy as np
+from scipy import special
 
 from .errors import ValidationError, NumericFailure
 
 DEFAULT_MATRIX_TOL = 1e-10
-
-_GAMMA_ITMAX = 20000
-_GAMMA_EPS = 1e-15
-_FPMIN = 1e-300
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -30,54 +30,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # Regularized incomplete gamma
 # ---------------------------------------------------------------------------
 
-def _upper_gamma_series(shape: float, x: float) -> float:
-    # Q = 1 - P with P from the standard lower series; accurate for x < shape+1.
-    ap = shape
-    term = 1.0 / shape
-    total = term
-    for _ in range(_GAMMA_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    else:
-        raise NumericFailure(f"incomplete gamma series did not converge (shape={shape}, x={x})")
-    log_pref = shape * log(x) - x - lgamma(shape)
-    return 1.0 - total * exp(log_pref)
-
-
-def _upper_gamma_contfrac(shape: float, x: float) -> float:
-    # Modified Lentz continued fraction for Q; accurate for x >= shape+1.
-    b = x + 1.0 - shape
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_ITMAX + 1):
-        an = -i * (i - shape)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    else:
-        raise NumericFailure(f"incomplete gamma CF did not converge (shape={shape}, x={x})")
-    log_pref = shape * log(x) - x - lgamma(shape)
-    return exp(log_pref) * h
-
-
 def regularized_upper_gamma(shape: float, x: float) -> float:
-    """Q(shape, x) = Gamma(shape, x) / Gamma(shape).
+    """Q(shape, x) = Gamma(shape, x) / Gamma(shape), via ``scipy.special.gammaincc``.
 
-    Series for x < shape+1 and continued fraction otherwise; the log-space
-    prefactor keeps the split stable for shapes up to ~1.5e4.
+    Checks that both inputs are finite, shape > 0 and x >= 0, and raises
+    ``ValidationError`` otherwise. Q(shape, 0) = 1 and Q stays in [0, 1].
     """
     shape = float(shape)
     x = float(x)
@@ -87,14 +44,7 @@ def regularized_upper_gamma(shape: float, x: float) -> float:
         raise ValidationError(f"shape must be > 0, got {shape}")
     if x < 0:
         raise ValidationError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < shape + 1.0:
-        q = _upper_gamma_series(shape, x)
-    else:
-        q = _upper_gamma_contfrac(shape, x)
-    # Clamp tiny negative round-off from the 1 - P branch.
-    return min(1.0, max(q, 0.0))
+    return float(special.gammaincc(shape, x))
 
 
 # ---------------------------------------------------------------------------
@@ -145,33 +95,24 @@ class TakagiFactor:
 
 
 def takagi_decompose(u: SymmetricUnitary) -> TakagiFactor:
-    """Factor U = V V^T for a symmetric unitary U.
+    """Factor U = V V^T for a symmetric unitary U, via ``scipy.linalg.sqrtm``.
 
-    U = X + iY with X, Y real symmetric and commuting (from U U* = I), so a
-    common orthogonal eigenbasis R gives U = R diag(e^{i theta}) R^T and
-    V = R diag(e^{i theta / 2}). Any V' = V O with O orthogonal is equally
-    valid; callers must not rely on a particular branch.
+    The principal square root of a symmetric matrix is symmetric, so
+    V = sqrt(U) gives V V^T = V^2 = U. The root's branch cut is first turned
+    into the widest gap between U's eigenvalue angles: with phi the middle of
+    that gap and c = e^{i(pi - phi)}, V = conj(sqrt(c)) sqrtm(c U). Any
+    V' = V O with O real orthogonal is equally valid; callers must not rely on
+    a particular branch. Raises ``NumericFailure`` if max|V V^T - U| > 1e-9;
+    ``TakagiFactor`` checks that V is unitary.
     """
+    from scipy import linalg  # imported here: it adds about 50 ms to `import cvlearn`
+
     m = u.matrix
-    n = m.shape[0]
-    x = np.real(m)
-    y = np.imag(m)
-    rng = np.random.default_rng(0xC0FFEE)
-    for _ in range(12):
-        # A generic combination separates the joint eigenspaces of (X, Y).
-        t = rng.normal()
-        _, r = np.linalg.eigh(x + t * y)
-        dx = r.T @ x @ r
-        dy = r.T @ y @ r
-        off = max(np.max(np.abs(dx - np.diag(np.diag(dx)))),
-                  np.max(np.abs(dy - np.diag(np.diag(dy)))))
-        if off < 1e-11:
-            break
-    else:
-        raise NumericFailure("failed to simultaneously diagonalize the symmetric parts")
-    phases = np.diag(dx) + 1j * np.diag(dy)
-    phases = phases / np.abs(phases)  # unit modulus up to round-off
-    v = r @ np.diag(np.exp(0.5j * np.angle(phases)))
+    theta = np.sort(np.angle(np.linalg.eigvals(m)))
+    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    c = np.exp(1j * (np.pi - theta[k] - 0.5 * gaps[k]))
+    v = np.conj(np.sqrt(c)) * linalg.sqrtm(c * m)
     err = np.max(np.abs(v @ v.T - m))
     if err > 1e-9:
         raise NumericFailure(f"Takagi reconstruction error {err:.3e} exceeds tolerance")

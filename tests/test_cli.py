@@ -11,6 +11,7 @@ import pytest
 from cvlearn.cli import main, parse_complex, parse_cvector
 from cvlearn.errors import ValidationError
 from cvlearn.measurements import MeasurementRecord
+from cvlearn.numerics import make_rng, random_symmetric_unitary
 from cvlearn.states import PeakState, char_fn, classicality_smax, make_three_peak
 
 
@@ -313,6 +314,46 @@ class TestInputErrors:
                    "--scheme", "heterodyne", "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["estimates"] == []
+
+    @pytest.mark.parametrize("eps", ["0", "1.5"])
+    def test_classicality_aware_epsilon_outside_unit_interval_is_2(self, tmp_path, capsys,
+                                                                   eps):
+        rec, pts = self._record_and_points(tmp_path)
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "classicality-aware", "--classicality", "0.5",
+                   "--epsilon", eps, "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+        assert "epsilon must lie in (0,1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u", ["abc", 5, {"sed": 3}, {"seed": 3, "n": 1}, {"seed": -1},
+                                   {"seed": 2.5}, {"seed": True}])
+    def test_malformed_game_unitary_is_2(self, tmp_path, capsys, u):
+        cfg = {"family": "three_peak", "n": 1, "nu": 0.9, "eps0": 0.25, "kappa": 2.0,
+               "copies": 10, "trials": 2, "estimate_tvd": False, "u": u}
+        assert self._game(tmp_path, cfg) == 2
+        assert "config key u" in capsys.readouterr().err
+
+    def test_game_unitary_seed_and_matrix_agree(self, tmp_path):
+        # {"seed": k} and the matrix it names, written out, give the same bytes.
+        outs = []
+        m = random_symmetric_unitary(2, make_rng(5)).matrix
+        for u in [{"seed": 5}, [[{"re": z.real, "im": z.imag} for z in row] for row in m]]:
+            cfg = {"family": "five_peak", "n": 2, "nu": 0.9, "eps0": 0.25, "kappa": 2.0,
+                   "copies": 20, "trials": 30, "seed": 13, "u": u, "estimate_tvd": False}
+            assert self._game(tmp_path, cfg) == 0
+            outs.append((tmp_path / "g.json").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_u_file_seed_spec(self, tmp_path):
+        # a --u-file holds the same spec as a game config's "u"
+        ufile = tmp_path / "u.json"
+        ufile.write_text(json.dumps({"seed": 4}))
+        args = ["sample", "--family", "five-peak", "--nu", "0.5", "--eps0", "0.2",
+                "--gamma", "0.5", "--n", "1", "--scheme", "heterodyne", "--count", "10",
+                "--seed", "1"]
+        assert main(args + ["--u-file", str(ufile), "--out", str(tmp_path / "a.jsonl")]) == 0
+        assert main(args + ["--u-seed", "4", "--out", str(tmp_path / "b.jsonl")]) == 0
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_malformed_u_file_is_2(self, tmp_path):
         ufile = tmp_path / "u.json"

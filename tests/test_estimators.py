@@ -201,6 +201,11 @@ class TestClassicalityAware:
         with pytest.raises(ValidationError):
             estimate_chi_classicality_aware(rec, np.array([1.0]), 0.0, 0.1)
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.1])
+    def test_radius_rejects_epsilon_outside_unit_interval(self, eps):
+        with pytest.raises(ValidationError, match=r"epsilon must lie in \(0,1\)"):
+            effective_radius(0.5, eps)
+
 
 class TestPhaseFactorSums:
     @pytest.mark.parametrize("n", [1, 3])

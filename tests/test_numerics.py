@@ -105,6 +105,22 @@ class TestTakagi:
             fac = takagi_decompose(u)
             assert np.max(np.abs(fac.v @ fac.v.T - u.matrix)) < 1e-10
 
+    @pytest.mark.parametrize("phases", [
+        [1, 1, -1], [-1, -1, -1, 1j], [1j, 1j, -1j, 1],
+        [np.exp(1j * (np.pi - 1e-9)), np.exp(-1j * (np.pi - 1e-9))]])
+    def test_repeated_and_branch_straddling_spectra(self, phases):
+        # R diag(phases) R^T with R real orthogonal: repeated eigenvalues, -1 (once
+        # and repeated), and a pair on either side of -1, where the principal
+        # square root's branch cut lies.
+        n = len(phases)
+        rng = make_rng(17, stream=n)
+        for _ in range(5):
+            r, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            m = r @ np.diag(phases) @ r.T
+            v = takagi_decompose(SymmetricUnitary(matrix=m)).v
+            assert np.max(np.abs(v @ v.T - m)) < 1e-10
+            assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
+
     def test_rejects_nonsymmetric(self):
         m = np.array([[0, 1.0], [0, 0]])
         with pytest.raises(ValidationError):
