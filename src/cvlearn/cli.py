@@ -24,7 +24,7 @@ from .errors import NumericFailure, ValidationError
 from .estimators import estimate_record
 from .game import GameConfig, run_game
 from .measurements import MeasurementRecord, sample_bell, sample_heterodyne
-from .numerics import SymmetricUnitary, make_rng, random_symmetric_unitary
+from .numerics import SymmetricUnitary, check_mode_count, make_rng, random_symmetric_unitary
 from .states import (
     PeakState,
     bell_partner,
@@ -112,6 +112,7 @@ def _load_state(args) -> PeakState:
     missing = [f"--{key}" for key in needs if getattr(args, key) is None]
     if family and missing:
         raise ValidationError(f"--family {family} needs {' and '.join(missing)}")
+    check_mode_count(args.n)
     gamma = parse_cvector(args.gamma, args.n) if args.gamma else np.zeros(args.n)
     if family == "thermal":
         return make_thermal(args.n, args.nu)

@@ -10,12 +10,15 @@ the thermal filter is `F x F` with `F = diag(nu^m)`, so `build_state` forms
 the small per-mode factors `(1-nu^2) F D(-g) F` and, at two modes, gets
 `rho = sum_k w_k A_k x B_k` from one matrix product; `char_trace` takes a
 batch of points and traces all of them against one reordering of `rho`.
+The filter also leaves most rows negligible, so `min_eigenvalue` certifies a
+lower bound on the spectrum from the rows that carry weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
@@ -25,6 +28,7 @@ from .states import PeakState, char_fn, mean_photon, three_peak_plus
 
 MAX_MODES = 2
 MAX_DIM = 16384
+_DROP_TOL = 1e-13   # spectral-norm budget for the rows min_eigenvalue leaves out
 
 
 @dataclass(frozen=True)
@@ -41,9 +45,16 @@ class FockMatrix:
 
 
 def default_cutoff(state: PeakState) -> int:
-    """Covers the thermal tail plus displacement support with a wide margin."""
+    """Covers the thermal tail plus displacement support with a wide margin.
+
+    The filter alone leaves a trace deficit of about n nu^(2C) at cutoff C, so
+    C is also at least the smallest value with n nu^(2C) <= 1e-9, a tenth of
+    `build_state`'s trace tolerance; warm filters (nu near 1) need it.
+    """
     max_g2 = float(np.max(np.sum(np.abs(state.centers) ** 2, axis=1), initial=0.0))
-    return math.ceil((state.nu ** 2 / (1.0 - state.nu ** 2) + max_g2) * 8.0 + 20.0)
+    support = math.ceil((state.nu ** 2 / (1.0 - state.nu ** 2) + max_g2) * 8.0 + 20.0)
+    tail = math.ceil(math.log(1e-9 / state.n) / (2.0 * math.log(state.nu)))
+    return max(support, tail)
 
 
 def _check_shape(n: int, cutoff: int):
@@ -56,18 +67,45 @@ def _check_shape(n: int, cutoff: int):
             f"truncated dimension {cutoff ** n} exceeds the oracle cap {MAX_DIM}")
 
 
-def _displacement_1mode(alpha: complex, cutoff: int) -> np.ndarray:
-    """<m|D(alpha)|n> via the associated-Laguerre matrix elements."""
-    if alpha == 0:
-        return np.eye(cutoff, dtype=complex)
-    m, n = np.meshgrid(np.arange(cutoff), np.arange(cutoff), indexing="ij")
-    x = abs(alpha) ** 2
-    lo, hi = np.minimum(m, n), np.maximum(m, n)
+@lru_cache(maxsize=16)
+def _displacement_tables(cutoff: int):
+    """The alpha-independent parts of <m|D(alpha)|n>, built once per cutoff.
+
+    Entry (m, n) depends on alpha only through |alpha|^2 and a power of alpha
+    (m >= n) or of -conj(alpha) (m < n). The Laguerre polynomial and the
+    gamma-function ratio depend on (min(m, n), |m - n|) alone, so they are
+    evaluated on that triangle and gathered: `tri` maps (m, n) into the
+    triangle, `power` into the stacked powers [alpha^k, (-conj alpha)^k].
+    Returns (lo, k, log_ratio) on the triangle, then `tri` and `power`; the
+    arrays are read-only because every caller shares them.
+    """
+    lo, hi = np.triu_indices(cutoff)
     k = hi - lo
     log_ratio = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
+    m, n = np.meshgrid(np.arange(cutoff), np.arange(cutoff), indexing="ij")
+    tri = np.zeros((cutoff, cutoff), dtype=np.intp)
+    tri[lo, hi] = np.arange(len(lo))
+    tri = np.where(m <= n, tri, tri.T)
+    power = np.where(m >= n, 0, cutoff) + np.abs(m - n)
+    tables = (lo, k, log_ratio, tri, power)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _displacements_1mode(alphas, cutoff: int) -> np.ndarray:
+    """<m|D(alpha)|n> for each alpha of a batch, via the associated-Laguerre
+    matrix elements; shape (len(alphas), cutoff, cutoff)."""
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1, 1)
+    lo, k, log_ratio, tri, power = _displacement_tables(cutoff)
+    x = np.hypot(alphas.real, alphas.imag) ** 2   # abs(alpha) ** 2 bit for bit
+    # exp and Laguerre on the (min, |m-n|) triangle, powers on one row per point
+    amp = np.exp(log_ratio - x / 2.0)
     lag = eval_genlaguerre(lo, k, x)
-    base = np.where(m >= n, alpha, -np.conj(alpha)) ** k
-    return np.exp(log_ratio - x / 2.0) * base * lag
+    base = np.concatenate([alphas, -np.conj(alphas)], axis=1)[:, :, None] \
+        ** np.arange(cutoff)
+    base = base.reshape(len(alphas), 2 * cutoff)
+    return amp[:, tri] * base[:, power] * lag[:, tri]
 
 
 def displacement_matrix(alpha, cutoff: int) -> FockMatrix:
@@ -75,9 +113,10 @@ def displacement_matrix(alpha, cutoff: int) -> FockMatrix:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     n = alpha.shape[0]
     _check_shape(n, cutoff)
-    data = _displacement_1mode(complex(alpha[0]), cutoff)
-    for a in alpha[1:]:
-        data = np.kron(data, _displacement_1mode(complex(a), cutoff))
+    mats = _displacements_1mode(alpha, cutoff)
+    data = mats[0]
+    for d in mats[1:]:
+        data = np.kron(data, d)
     return FockMatrix(n=n, cutoff=cutoff, data=data)
 
 
@@ -99,6 +138,20 @@ def _swap_middle(m: np.ndarray, cutoff: int) -> np.ndarray:
     return m.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c * c, c * c)
 
 
+def _max_antihermitian(m: np.ndarray) -> float:
+    """max |m - m^H|, taken over row blocks against the matching column blocks.
+
+    Block s compares rows s:s+block, from column s on, with the conjugate of
+    the columns s:s+block, so every pair (i, j) is met and no temporary grows
+    beyond block x dim.
+    """
+    block = 64
+    err = 0.0
+    for s in range(0, len(m), block):
+        err = max(err, float(np.max(np.abs(m[s:s + block, s:] - m[s:, s:s + block].conj().T))))
+    return err
+
+
 def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
     """Dense density matrix (1-nu^2)^n nu^N (sum_k w_k D^dag(gamma_k)) nu^N.
 
@@ -110,10 +163,7 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
     _check_shape(state.n, cutoff)
     k = len(state.weights)
     filt = state.nu ** np.arange(cutoff, dtype=float)
-    factors = np.empty((state.n, k, cutoff, cutoff), dtype=complex)
-    for j, g in enumerate(state.centers):
-        for i in range(state.n):
-            factors[i, j] = _displacement_1mode(complex(-g[i]), cutoff)
+    factors = _displacements_1mode(-state.centers.T, cutoff)
     factors *= (1.0 - state.nu ** 2) * np.outer(filt, filt)
     flat = factors.reshape(state.n, k, cutoff * cutoff)
     if state.n == 1:
@@ -122,13 +172,12 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
         # sum_k w_k A_k[a,c] B_k[b,d], indexed (a,c),(b,d), then reordered to (a,b),(c,d)
         ac_bd = (state.weights[:, None] * flat[0]).T @ flat[1]
         rho = _swap_middle(ac_bd, cutoff)
-        del ac_bd  # freed before the Hermitian check adds its dense temporaries
     trace_err = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
     if trace_err > 1e-8:
         raise ValidationError(
             f"cutoff {cutoff} too small: |Tr rho - 1| = {trace_err:.2e}; "
             f"suggested cutoff >= {default_cutoff(state)}")
-    herm_err = np.max(np.abs(rho - rho.conj().T))
+    herm_err = _max_antihermitian(rho)
     if herm_err > 1e-10:
         raise NumericFailure(f"oracle state not Hermitian: {herm_err:.2e}")
     return FockMatrix(n=state.n, cutoff=cutoff, data=rho)
@@ -140,10 +189,7 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
 
 def _transposed_displacements(points: np.ndarray, cutoff: int) -> np.ndarray:
     """Row j is D(points[j])^T flattened, so entry (a, c) holds <c|D|a>."""
-    out = np.empty((len(points), cutoff, cutoff), dtype=complex)
-    for j, a in enumerate(points):
-        out[j] = _displacement_1mode(complex(a), cutoff).T
-    return out.reshape(len(points), cutoff * cutoff)
+    return _displacements_1mode(points, cutoff).transpose(0, 2, 1).reshape(len(points), -1)
 
 
 def char_trace(fm: FockMatrix, alpha):
@@ -205,7 +251,34 @@ def wigner_parity(fm: FockMatrix, beta) -> float:
 
 
 def min_eigenvalue(fm: FockMatrix) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (fm.data + fm.data.conj().T))[0])
+    """A certified lower bound on the smallest eigenvalue of h = (rho + rho^H)/2,
+    within _DROP_TOL of it.
+
+    The filter nu^N leaves most rows of a peak state negligible, so only the
+    rows that carry weight reach `eigvalsh`. Rows are sorted by a bound on
+    their squared norm in h, max(|rho row|^2, |rho column|^2), and the longest
+    prefix D whose bounds sum to at most _DROP_TOL^2 / 2 is dropped. With K the
+    kept rows and E = h - (h_KK + 0_DD), ||E||_2 <= ||E||_F <= sqrt(2 sum_D) <=
+    _DROP_TOL, so Weyl's inequality gives lam_min(h) >= min(lam_KK, 0) - that,
+    and Cauchy interlacing gives lam_min(h) <= lam_KK. The value returned never
+    exceeds lam_min(h), up to `eigvalsh`'s own rounding; when no row can be
+    dropped it is the full spectrum's minimum.
+    """
+    rho = fm.data
+    sq = np.abs(rho)
+    sq *= sq
+    mass = np.maximum(sq.sum(axis=1), sq.sum(axis=0))
+    del sq
+    order = np.argsort(mass)
+    cum = np.cumsum(mass[order])
+    # at least one row is kept, so the block is never empty
+    n_drop = min(int(np.searchsorted(cum, 0.5 * _DROP_TOL ** 2, side="right")), len(cum) - 1)
+    keep = np.sort(order[n_drop:])
+    block = rho[np.ix_(keep, keep)]
+    lam = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
+    if n_drop == 0:
+        return lam
+    return min(lam, 0.0) - math.sqrt(2.0 * cum[n_drop - 1])
 
 
 # ---------------------------------------------------------------------------

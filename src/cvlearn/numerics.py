@@ -51,10 +51,16 @@ def regularized_upper_gamma(shape: float, x: float) -> float:
 # Symmetric unitaries and Takagi factorization
 # ---------------------------------------------------------------------------
 
+def check_mode_count(n: int):
+    """Raises ``ValidationError`` unless the mode count n is at least 1."""
+    if n < 1:
+        raise ValidationError(f"mode count n must be >= 1, got {n}")
+
+
 def _as_square_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValidationError(f"expected a non-empty square matrix, got shape {m.shape}")
     return m
 
 
@@ -68,7 +74,7 @@ class SymmetricUnitary:
     def __post_init__(self):
         m = _as_square_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        sym_err = np.max(np.abs(m - m.T)) if m.size else 0.0
+        sym_err = np.max(np.abs(m - m.T))
         uni_err = np.max(np.abs(m @ np.conj(m) - np.eye(m.shape[0])))
         if sym_err > self.tol:
             raise ValidationError(f"matrix is not symmetric: max|U - U^T| = {sym_err:.3e}")
@@ -121,6 +127,7 @@ def takagi_decompose(u: SymmetricUnitary) -> TakagiFactor:
 
 def random_symmetric_unitary(n: int, rng: np.random.Generator) -> SymmetricUnitary:
     """Haar-ish symmetric unitary built as V0 V0^T from a random unitary V0."""
+    check_mode_count(n)
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     q = q * (np.diag(r) / np.abs(np.diag(r)))

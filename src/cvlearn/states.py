@@ -22,7 +22,7 @@ from math import log
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import SymmetricUnitary
+from .numerics import SymmetricUnitary, check_mode_count
 
 MERGE_TOL = 1e-12
 EXP_FLOOR = -745.0  # exp() underflows to 0 below this; clamp to avoid noise
@@ -57,6 +57,7 @@ class PeakState:
     eps0: float | None = None    # constructor metadata, not used by evaluators
 
     def __post_init__(self):
+        check_mode_count(self.n)
         if not (0.0 < self.nu < 1.0):
             raise ValidationError(f"nu must lie in (0, 1), got {self.nu}")
         w = np.atleast_1d(np.asarray(self.weights, dtype=complex))
@@ -179,6 +180,7 @@ def _check_eps0(eps0: float):
 
 
 def make_thermal(n: int, nu: float) -> PeakState:
+    check_mode_count(n)
     return PeakState(n=n, nu=nu, weights=np.array([1.0 + 0j]),
                      centers=np.zeros((1, n), dtype=complex))
 

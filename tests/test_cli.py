@@ -230,6 +230,15 @@ class TestExitCodes:
                    "--out", str(tmp_path / "c.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("family", ["five-peak", "three-peak", "thermal"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_mode_count_below_one_is_2(self, tmp_path, capsys, family, n):
+        rc = main(["sample", "--family", family, "--nu", "0.5", "--eps0", "0.2", "--n", n,
+                   "--scheme", "heterodyne", "--count", "10", "--seed", "1",
+                   "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 2
+        assert "mode count" in capsys.readouterr().err
+
     def test_module_entrypoint(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "cvlearn.cli", "state", "classicality",

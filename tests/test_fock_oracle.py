@@ -6,9 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from cvlearn.errors import ValidationError
 from cvlearn.fock_oracle import (
+    FockMatrix,
+    _displacements_1mode,
+    _max_antihermitian,
     build_state,
     char_trace,
     default_cutoff,
@@ -35,7 +39,31 @@ from cvlearn.states import (
 )
 
 
+def reference_displacement(alpha: complex, cutoff: int) -> np.ndarray:
+    """<m|D(alpha)|n> for one point, built directly on the full (m, n) grid."""
+    if alpha == 0:
+        return np.eye(cutoff, dtype=complex)
+    m, n = np.meshgrid(np.arange(cutoff), np.arange(cutoff), indexing="ij")
+    x = abs(alpha) ** 2
+    lo, hi = np.minimum(m, n), np.maximum(m, n)
+    k = hi - lo
+    log_ratio = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
+    lag = eval_genlaguerre(lo, k, x)
+    base = np.where(m >= n, alpha, -np.conj(alpha)) ** k
+    return np.exp(log_ratio - x / 2.0) * base * lag
+
+
 class TestDisplacement:
+    def test_batch_matches_per_point_reference(self):
+        rng = make_rng(15)
+        alphas = np.concatenate([[0.0, 1e-300, 1j, -2.5, 3 - 4j],
+                                 rng.uniform(0, 4, 60) * rng.normal(size=60)
+                                 + 1j * rng.uniform(0, 4, 60) * rng.normal(size=60)])
+        for cutoff in (2, 3, 28, 36, 60):
+            batch = _displacements_1mode(alphas, cutoff)
+            for a, got in zip(alphas, batch):
+                assert np.max(np.abs(got - reference_displacement(complex(a), cutoff))) <= 1e-15
+
     def test_identity_at_zero(self):
         d = displacement_matrix(np.array([0.0j]), 12)
         assert np.array_equal(d.data, np.eye(12))
@@ -123,6 +151,29 @@ class TestBuildState:
         st = make_three_peak(1, 0.8, 0.2, np.array([2.0]))
         with pytest.raises(ValidationError, match="suggested cutoff"):
             build_state(st, 8)
+
+    @pytest.mark.parametrize("n, nu", [(1, 0.75), (1, 0.8), (1, 0.9), (2, 0.8)])
+    def test_warm_thermal_passes_at_default_cutoff(self, n, nu):
+        st = make_thermal(n, nu)
+        rep = oracle_check(st)
+        assert rep["cutoff"] == default_cutoff(st)
+        assert rep["trace_error"] < 1e-8
+        assert rep["char_max_abs_error"] < 1e-6
+        assert rep["mean_photon_error"] < 1e-5
+        assert rep["min_eigenvalue"] >= -1e-9
+
+    def test_benchmark_states_keep_cutoff(self):
+        for g in (np.array([1.2, 0.4j]), np.array([0.9 - 0.5j, -0.6 + 0.3j])):
+            g *= math.sqrt(1.6) / np.linalg.norm(g)
+            assert default_cutoff(make_three_peak(2, 0.5, 0.2, g)) == 36
+
+    def test_hermitian_error_over_blocks_matches_dense(self):
+        rng = make_rng(16)
+        for dim in (1, 63, 64, 65, 130):
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = m + m.conj().T
+            m[rng.integers(dim), rng.integers(dim)] += 1e-6j * rng.normal()
+            assert _max_antihermitian(m) == np.max(np.abs(m - m.conj().T))
 
     def test_mean_photon(self):
         st = make_three_peak(1, 0.6, 0.2, np.array([0.8]))
@@ -289,3 +340,77 @@ def test_oracle_check_summary():
     assert rep["char_max_abs_error"] < 1e-6
     assert rep["min_eigenvalue"] >= -1e-9
     assert rep["trace_error"] < 1e-8
+
+
+def _full_min(fm):
+    return float(np.linalg.eigvalsh(0.5 * (fm.data + fm.data.conj().T))[0])
+
+
+def _benchmark_oracle_states(seed):
+    """The two n = 2 states the benchmark's oracle kinds check (default cutoff 36)."""
+    rng = np.random.default_rng([seed, 300])
+    g = rng.normal(size=2) + 1j * rng.normal(size=2)
+    g *= math.sqrt(1.6) / np.linalg.norm(g)
+    u = random_symmetric_unitary(2, rng)
+    return [make_three_peak(2, 0.5, 0.2, g), make_five_peak(2, 0.5, 0.2, g, u)]
+
+
+def _sweep_states():
+    """Criterion-1-style states: n = 1 at cutoff +40, and a few at n = 2."""
+    rng = make_rng(17)
+    out = []
+    for i in range(12):
+        n = 1 if i < 9 else 2
+        nu = float(rng.uniform(0.3, 0.9 if n == 1 else 0.6))
+        eps0 = float(rng.uniform(0.02, 0.25))
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        g *= rng.uniform(0.2, 2.0 if n == 1 else 1.2) / np.linalg.norm(g)
+        st = (make_three_peak(n, nu, eps0, g) if i % 2 == 0
+              else make_five_peak(n, nu, eps0, g, random_symmetric_unitary(n, rng)))
+        out.append(build_state(st, default_cutoff(st) + (40 if n == 1 else 0)))
+    return out
+
+
+class TestCertifiedMinEigenvalue:
+    """min_eigenvalue is a lower bound on lam_min((rho + rho^H)/2) within 1e-13."""
+
+    @pytest.mark.parametrize("fm", [build_state(st) for st in _benchmark_oracle_states(1)]
+                             + _sweep_states(),
+                             ids=lambda fm: f"n{fm.n}-c{fm.cutoff}")
+    def test_within_tolerance_below_full_spectrum(self, fm):
+        full = _full_min(fm)
+        assert full - 2e-13 <= min_eigenvalue(fm) <= full + 1e-15
+
+    def test_injected_negative_direction_is_reported(self):
+        fm = build_state(_benchmark_oracle_states(7)[0])
+        rng = make_rng(18)
+        v = np.zeros(fm.dim, dtype=complex)
+        v[:40] = rng.normal(size=40) + 1j * rng.normal(size=40)
+        v /= np.linalg.norm(v)
+        bad = FockMatrix(n=fm.n, cutoff=fm.cutoff,
+                         data=fm.data - 1e-7 * np.outer(v, v.conj()))
+        full = _full_min(bad)
+        assert full < -1e-9
+        assert min_eigenvalue(bad) <= full + 1e-15
+
+    def test_negative_direction_in_dropped_rows_is_bounded(self):
+        # the -3e-14 row is light enough to drop, so only the subtracted
+        # norm of the dropped rows keeps the bound below it
+        data = np.diag(np.r_[np.ones(10), np.zeros(9), -3e-14]).astype(complex)
+        fm = FockMatrix(n=1, cutoff=20, data=data)
+        assert -1e-13 <= min_eigenvalue(fm) <= -3e-14
+
+    def test_column_weight_of_non_hermitian_input_counts(self):
+        # rows 10-19 of rho are zero but their columns are not, so h couples them
+        data = np.diag(np.r_[np.ones(10), np.zeros(10)]).astype(complex)
+        data[0, 10:] = 3e-7
+        fm = FockMatrix(n=1, cutoff=20, data=data)
+        full = _full_min(fm)
+        assert full < -1e-13
+        assert full - 2e-13 <= min_eigenvalue(fm) <= full + 1e-15
+
+    def test_no_droppable_row_gives_full_spectrum(self):
+        rng = make_rng(19)
+        data = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        fm = FockMatrix(n=1, cutoff=8, data=data)
+        assert min_eigenvalue(fm) == np.linalg.eigvalsh(0.5 * (data + data.conj().T))[0]

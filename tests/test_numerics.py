@@ -126,6 +126,13 @@ class TestTakagi:
         with pytest.raises(ValidationError):
             SymmetricUnitary(matrix=m)
 
+    def test_rejects_empty_unitary(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            SymmetricUnitary(matrix=np.eye(0))
+        for n in (0, -1):
+            with pytest.raises(ValidationError, match="mode count"):
+                random_symmetric_unitary(n, make_rng(3))
+
     def test_rejects_nonunitary_factor(self):
         with pytest.raises(ValidationError):
             TakagiFactor(v=np.array([[2.0]]))

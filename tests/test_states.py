@@ -130,6 +130,14 @@ class TestConstructors:
                       weights=np.array([1.0, 0.6j, -0.6j]),
                       centers=np.array([[0.0], [1.0], [-1.0]], dtype=complex))
 
+    def test_mode_count_below_one_rejected(self):
+        for n in (0, -1):
+            with pytest.raises(ValidationError, match="mode count"):
+                make_thermal(n, 0.5)
+            with pytest.raises(ValidationError, match="mode count"):
+                PeakState(n=n, nu=0.5, weights=np.array([1.0 + 0j]),
+                          centers=np.zeros((1, 0), dtype=complex))
+
     def test_hermitian_pairing_enforced(self):
         with pytest.raises(ValidationError):
             PeakState(n=1, nu=0.5,
