@@ -8,8 +8,9 @@ accordingly.
 The dense work is factored by mode. A displacement is `D1(a1) x D2(a2)` and
 the thermal filter is `F x F` with `F = diag(nu^m)`, so `build_state` forms
 the small per-mode factors `(1-nu^2) F D(-g) F` and, at two modes, gets
-`rho = sum_k w_k A_k x B_k` from one matrix product; `char_trace` takes a
-batch of points and traces all of them against one reordering of `rho`.
+`rho = sum_k w_k A_k x B_k` from one matrix product; `char_trace` and
+`wigner_parity` trace a batch of products of one-mode operators through one
+routine, with one product against one reordering of `rho`.
 The filter also leaves most rows negligible, so `min_eigenvalue` certifies a
 lower bound on the spectrum from the rows that carry weight.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
@@ -27,7 +28,7 @@ from .errors import ValidationError, NumericFailure
 from .states import PeakState, char_fn, mean_photon, three_peak_plus
 
 MAX_MODES = 2
-MAX_DIM = 16384
+MAX_DIM = 4096      # one dense complex copy is then <= 256 MiB; the oracle holds several
 _DROP_TOL = 1e-13   # spectral-norm budget for the rows min_eigenvalue leaves out
 
 
@@ -187,67 +188,62 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
 # Oracle evaluations
 # ---------------------------------------------------------------------------
 
-def _transposed_displacements(points: np.ndarray, cutoff: int) -> np.ndarray:
-    """Row j is D(points[j])^T flattened, so entry (a, c) holds <c|D|a>."""
-    return _displacements_1mode(points, cutoff).transpose(0, 2, 1).reshape(len(points), -1)
-
-
-def char_trace(fm: FockMatrix, alpha):
-    """Tr[rho D(alpha)] at one point (n,), as a complex, or at a batch (m, n).
-
-    At two modes Tr[rho (D1 x D2)] = sum_{a,c} D1[c,a] (R' vec(D2^T))[(a,c)],
+def _mode_trace(fm: FockMatrix, points, mode_ops):
+    """Tr[rho (O(p_1) x ... x O(p_n))] at one point (n,), as a complex, or at a
+    batch (m, n); `mode_ops(values, cutoff)` stacks the one-mode operators O.
+    At two modes Tr[rho (O1 x O2)] = sum_{a,c} O1[c,a] (R' vec(O2^T))[(a,c)],
     with R' the reordering of rho indexed (a,c),(b,d), so a block of points
     costs one matrix product.
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    single = alpha.ndim < 2
-    points = np.atleast_2d(alpha)
-    if alpha.ndim > 2 or points.shape[1] != fm.n:
+    points = np.asarray(points, dtype=complex)
+    single = points.ndim < 2
+    batch = np.atleast_2d(points)
+    if points.ndim > 2 or batch.shape[1] != fm.n:
         raise ValidationError(
-            f"char_trace expects points of shape (n,) or (m, n) with n = {fm.n}, "
-            f"got {alpha.shape}")
+            f"oracle points must have shape (n,) or (m, n) with n = {fm.n}, "
+            f"got {points.shape}")
     cutoff = fm.cutoff
+
+    def transposed(values):
+        # row j is O(values[j])^T flattened, so entry (a, c) holds <c|O|a>
+        return mode_ops(values, cutoff).transpose(0, 2, 1).reshape(len(values), -1)
+
     if fm.n == 2:
         r_t = _swap_middle(fm.data, cutoff).T
-    # blocks of points keep the displacement stacks near 2^20 entries
+    # blocks of points keep the operator stacks near 2^20 entries
     block = max(1, (1 << 20) // cutoff ** 2)
-    out = np.empty(len(points), dtype=complex)
-    for s in range(0, len(points), block):
-        pts = points[s:s + block]
-        # one mode pairs D^T with rho itself; two modes contract D2 first
-        rows = (fm.data.reshape(1, -1) if fm.n == 1
-                else _transposed_displacements(pts[:, 1], cutoff) @ r_t)
-        out[s:s + block] = np.sum(_transposed_displacements(pts[:, 0], cutoff) * rows, axis=1)
+    out = np.empty(len(batch), dtype=complex)
+    for s in range(0, len(batch), block):
+        pts = batch[s:s + block]
+        # one mode pairs O^T with rho itself; two modes contract O2 first
+        rows = fm.data.reshape(1, -1) if fm.n == 1 else transposed(pts[:, 1]) @ r_t
+        out[s:s + block] = np.sum(transposed(pts[:, 0]) * rows, axis=1)
     return complex(out[0]) if single else out
+
+
+def char_trace(fm: FockMatrix, alpha):
+    """Tr[rho D(alpha)] at one point (n,), as a complex, or at a batch (m, n)."""
+    return _mode_trace(fm, alpha, _displacements_1mode)
 
 
 def mean_photon_trace(fm: FockMatrix) -> float:
     return float(np.real(np.sum(np.diag(fm.data) * _number_diag(fm.n, fm.cutoff))))
 
 
-def _coherent_vector(zeta, cutoff: int) -> np.ndarray:
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    k = np.arange(cutoff)
-    vec = None
-    for z in zeta:
-        amps = np.exp(-0.5 * abs(z) ** 2 + k * np.log(z) - 0.5 * gammaln(k + 1)) \
-            if z != 0 else np.eye(cutoff, dtype=complex)[:, 0]
-        vec = amps if vec is None else np.kron(vec, amps)
-    return vec
-
-
 def husimi(fm: FockMatrix, zeta) -> float:
-    """<zeta|rho|zeta> / pi^n, the heterodyne outcome density."""
-    v = _coherent_vector(zeta, fm.cutoff)
+    """<zeta|rho|zeta> / pi^n, the heterodyne outcome density, with |zeta> the
+    product of the one-mode coherent states D(zeta_i)|0>."""
+    v = reduce(np.kron, _displacements_1mode(zeta, fm.cutoff)[:, :, 0])
     return float(np.real(np.conj(v) @ fm.data @ v)) / math.pi ** fm.n
 
 
-def wigner_parity(fm: FockMatrix, beta) -> float:
-    """(2/pi)^n Tr[rho D(beta) P D^dag(beta)] with P the photon parity."""
-    d = displacement_matrix(beta, fm.cutoff).data
-    parity = (-1.0) ** _number_diag(fm.n, fm.cutoff)
-    shifted = d.conj().T @ fm.data @ d
-    return float((2.0 / math.pi) ** fm.n * np.real(np.sum(np.diag(shifted) * parity)))
+def wigner_parity(fm: FockMatrix, beta):
+    """(2/pi)^n Tr[rho D(beta) P D^dag(beta)], P the photon parity, at one point
+    (n,) or a batch (m, n)."""
+    def parities(betas, cutoff):   # D(beta) P D^dag(beta), P the one-mode parity
+        d = _displacements_1mode(betas, cutoff)
+        return (d * (-1.0) ** np.arange(cutoff)) @ d.conj().transpose(0, 2, 1)
+    return (2.0 / math.pi) ** fm.n * _mode_trace(fm, beta, parities).real
 
 
 def min_eigenvalue(fm: FockMatrix) -> float:
@@ -310,7 +306,8 @@ def petz_d2(state_gamma: PeakState, state_thermal: PeakState,
     rho = build_state(state_gamma, cutoff)
     inv_diag = 1.0 / ((1.0 - state_thermal.nu ** 2) ** state_thermal.n
                       * state_thermal.nu ** (2.0 * _number_diag(rho.n, rho.cutoff)))
-    val = np.real(np.trace(rho.data @ (inv_diag[:, None] * rho.data)))
+    # Tr[rho F^-1 rho] = sum_{i,j} rho[i,j] F^-1[j] rho[j,i], elementwise
+    val = np.real(np.sum(rho.data * (inv_diag[:, None] * rho.data).T))
     numeric = math.log2(max(val, 1e-300))
     closed = petz_d2_closed_form(state_gamma)
     if abs(numeric - closed) > mismatch_tol:

@@ -317,21 +317,21 @@ class MeasurementRecord:
 
 
 def sample_bell(state: PeakState, reflected_then_circuit: PeakState, count: int,
-                seed: int, stream: int = 0, dtype=np.float64) -> MeasurementRecord:
+                seed: int, dtype=np.float64) -> MeasurementRecord:
     """i.i.d. Bell outcomes for `count` copies of the validated input pair."""
     mix = bell_mixture(state, reflected_then_circuit)
-    outcomes = mix.sample(count, make_rng(seed, stream), dtype=dtype)
+    outcomes = mix.sample(count, make_rng(seed), dtype=dtype)
     return MeasurementRecord(
         scheme="bell", outcomes=outcomes, seed=seed, n=state.n,
         state_descriptor={"state": state.to_json_dict(),
                           "partner": reflected_then_circuit.to_json_dict()})
 
 
-def sample_heterodyne(state: PeakState, count: int, seed: int, stream: int = 0,
+def sample_heterodyne(state: PeakState, count: int, seed: int,
                       dtype=np.float64) -> MeasurementRecord:
     """i.i.d. heterodyne outcomes from the Husimi Q density."""
     mix = heterodyne_mixture(state)
-    outcomes = mix.sample(count, make_rng(seed, stream), dtype=dtype)
+    outcomes = mix.sample(count, make_rng(seed), dtype=dtype)
     return MeasurementRecord(
         scheme="heterodyne", outcomes=outcomes, seed=seed, n=state.n,
         state_descriptor={"state": state.to_json_dict()})

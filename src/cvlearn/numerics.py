@@ -69,16 +69,15 @@ class SymmetricUnitary:
     """A matrix U with U = U^T and U U* = I (reflection axes in phase space)."""
 
     matrix: np.ndarray
-    tol: float = DEFAULT_MATRIX_TOL
 
     def __post_init__(self):
         m = _as_square_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         sym_err = np.max(np.abs(m - m.T))
         uni_err = np.max(np.abs(m @ np.conj(m) - np.eye(m.shape[0])))
-        if sym_err > self.tol:
+        if sym_err > DEFAULT_MATRIX_TOL:
             raise ValidationError(f"matrix is not symmetric: max|U - U^T| = {sym_err:.3e}")
-        if uni_err > self.tol:
+        if uni_err > DEFAULT_MATRIX_TOL:
             raise ValidationError(f"matrix is not unitary-symmetric: max|U U* - I| = {uni_err:.3e}")
 
     @property
@@ -139,8 +138,7 @@ def random_symmetric_unitary(n: int, rng: np.random.Generator) -> SymmetricUnita
 # ---------------------------------------------------------------------------
 
 def sample_complex_gaussian(n: int, variance: float, count: int,
-                            rng: np.random.Generator,
-                            dtype=np.float64) -> np.ndarray:
+                            rng: np.random.Generator) -> np.ndarray:
     """Draws from q(gamma) = (2 pi V)^{-n} exp(-|gamma|^2 / (2V)).
 
     Each of the 2n real coordinates is N(0, variance). Returns an array of
@@ -153,8 +151,8 @@ def sample_complex_gaussian(n: int, variance: float, count: int,
     if variance == 0.0:
         return np.zeros((count, n), dtype=complex)
     scale = np.sqrt(variance)
-    re = rng.standard_normal((count, n), dtype=dtype)
-    im = rng.standard_normal((count, n), dtype=dtype)
+    re = rng.standard_normal((count, n))
+    im = rng.standard_normal((count, n))
     return scale * (re + 1j * im)
 
 

@@ -230,6 +230,22 @@ class TestExitCodes:
                    "--out", str(tmp_path / "c.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("nu", ["0.9", "0.85"])
+    def test_oracle_above_dimension_cap_is_2(self, tmp_path, capsys, monkeypatch, nu):
+        # default cutoffs 102 and 66: dimensions 10404 and 4356, refused before
+        # any one-mode factor, let alone a dense matrix, is built
+        from cvlearn import fock_oracle
+
+        def refuse(*args):
+            raise AssertionError("dense oracle work started")
+        monkeypatch.setattr(fock_oracle, "_displacements_1mode", refuse)
+        out = tmp_path / "oracle.json"
+        rc = main(["oracle", "check", "--family", "thermal", "--nu", nu, "--n", "2",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "exceeds the oracle cap 4096" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("family", ["five-peak", "three-peak", "thermal"])
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_mode_count_below_one_is_2(self, tmp_path, capsys, family, n):

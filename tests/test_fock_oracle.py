@@ -33,6 +33,7 @@ from cvlearn.states import (
     make_thermal,
     make_three_peak,
     mean_photon,
+    reflect,
     s_qpd,
     s_qpd_grid_1mode,
     wigner,
@@ -275,6 +276,23 @@ class TestHusimiWigner:
                 b = 1.2 * (rng.normal(size=1) + 1j * rng.normal(size=1))
                 assert wigner_parity(fm, b) == pytest.approx(float(wigner(st, b)), abs=1e-8)
 
+    @pytest.mark.parametrize("five", [False, True], ids=["three-peak", "five-peak"])
+    def test_two_modes_match_closed_forms(self, five):
+        rng = make_rng(20)
+        g = np.array([0.7 + 0.3j, -0.5 + 0.4j])
+        st = (make_five_peak(2, 0.5, 0.2, g, random_symmetric_unitary(2, rng)) if five
+              else make_three_peak(2, 0.5, 0.2, g))
+        fm = build_state(st)
+        assert fm.dim <= 1024
+        pts = 1.2 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+        pts[0] = 0.0
+        pts[1, 0] = 0.0
+        wig = wigner_parity(fm, pts)
+        for p, w in zip(pts, wig):
+            assert w == pytest.approx(float(wigner(st, p)), abs=1e-8)
+            assert type(wigner_parity(fm, p)) is float and abs(wigner_parity(fm, p) - w) < 1e-15
+            assert husimi(fm, p) == pytest.approx(float(s_qpd(st, -1.0, p)), abs=1e-6)
+
     def test_wigner_fourier_of_oracle_char(self):
         # Independent slow route: numerically Fourier transform the oracle's
         # characteristic function and compare to the closed form.
@@ -319,6 +337,16 @@ class TestPetzD2:
         st = make_three_peak(1, 0.5, 0.2, np.array([1.2]))
         numeric, closed = petz_d2(st, make_thermal(1, 0.5))
         assert numeric == pytest.approx(closed, abs=1e-5)
+
+    def test_two_modes_match_closed_form_and_reflection(self):
+        st = make_three_peak(2, 0.5, 0.2, np.array([0.6 - 0.5j, 0.4j]))
+        th = make_thermal(2, 0.5)
+        numeric, closed = petz_d2(st, th, mismatch_tol=1e-5)
+        assert numeric == pytest.approx(closed, abs=1e-5)
+        assert closed > 0.01
+        u = random_symmetric_unitary(2, make_rng(21))
+        numeric_r, _ = petz_d2(reflect(st, u), th, mismatch_tol=1e-5)
+        assert abs(numeric_r - numeric) <= 1e-10
 
     def test_family_mismatch_rejected(self):
         st = make_three_peak(1, 0.5, 0.2, np.array([1.0]))
