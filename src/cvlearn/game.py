@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimators import chi_heterodyne_means, chi_squared_means
-from .measurements import SignedGaussianMixture, bell_mixture, heterodyne_mixture
+from .measurements import SignedGaussianMixture, peak_mixtures, validate_bell_pair
 from .numerics import (
     SymmetricUnitary,
     make_rng,
@@ -26,18 +26,10 @@ from .numerics import (
     sample_complex_gaussian,
     takagi_decompose,
 )
-from .states import (
-    PeakState,
-    bell_partner,
-    char_fn,
-    filter_variances,
-    make_five_peak,
-    make_thermal,
-    make_three_peak,
-    reflect,
-)
+from .states import PeakState, bell_partner, char_fn, filter_variances, make_thermal, peak_layout
 
 FAMILIES = ("three_peak", "five_peak")
+TRIAL_CHUNK = 1024   # trials whose draws, families and samplers a run holds at once
 STRATEGIES = ("ea_bell", "ef_heterodyne", "random")
 
 
@@ -64,8 +56,13 @@ class GameConfig:
             raise ValidationError(f"family must be one of {FAMILIES}")
         if self.bob not in STRATEGIES:
             raise ValidationError(f"bob must be one of {STRATEGIES}")
-        if self.copies < 1 or self.trials < 1:
-            raise ValidationError("copies and trials must be >= 1")
+        for key, low in (("n", 1), ("copies", 1), ("trials", 1), ("seed", 0),
+                         ("tvd_gamma_draws", 1), ("tvd_mc_samples", 1)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{key} must be an integer, got {value!r}")
+            if value < low:
+                raise ValidationError(f"{key} must be >= {low}, got {value}")
         if not set(self.order) <= {"o", "r"} or not self.order:
             raise ValidationError("order must be a nonempty string over {o, r}")
         if self.u is None:
@@ -137,30 +134,35 @@ def five_peak_window_probability(n: int, sigma2: float, sigma_gamma2: float,
     return p_r * p_i
 
 
+def _rotated_parts(gamma, v: np.ndarray):
+    """|Re gamma'|^2 and |Im gamma'|^2 of gamma' = V^dag gamma, for gamma (n,) or (m, n)."""
+    # one vector-matrix product per gamma: the arithmetic of a single V^dag gamma
+    gp = (np.asarray(gamma, dtype=complex)[..., None, :] @ np.conj(v))[..., 0, :]
+    return np.sum(gp.real ** 2, axis=-1), np.sum(gp.imag ** 2, axis=-1)
+
+
 def five_peak_window_indicator(gamma: np.ndarray, v: np.ndarray, sigma2: float,
-                               kappa: float, n: int) -> bool:
-    """Membership test on gamma' = V^dag gamma for one drawn gamma."""
-    gp = np.conj(v).T @ gamma
-    r2 = float(np.sum(np.real(gp) ** 2))
-    i2 = float(np.sum(np.imag(gp) ** 2))
-    return (2.0 * sigma2 < r2 <= 2.0 * kappa * n / 3.0) and (0.0 < i2 <= kappa * n / 3.0)
+                               kappa: float, n: int):
+    """Membership test on gamma' = V^dag gamma: a bool for one gamma, an array for (m, n)."""
+    r2, i2 = _rotated_parts(gamma, v)
+    hit = ((2.0 * sigma2 < r2) & (r2 <= 2.0 * kappa * n / 3.0)
+           & (0.0 < i2) & (i2 <= kappa * n / 3.0))
+    return hit if np.ndim(hit) else bool(hit)
 
 
-def _three_peak_gap(cfg: GameConfig, gamma: np.ndarray) -> float:
+def _windows_and_gaps(cfg: GameConfig, gammas: np.ndarray):
+    """Window flags and chi gaps |chi_peaked - chi0|(gamma) for each row of gammas (m, n)."""
     sigma2, Sigma2 = filter_variances(cfg.nu)
-    g2 = float(np.sum(np.abs(gamma) ** 2))
-    return (2.0 * cfg.eps0 * math.exp(-g2 / Sigma2)
-            * (1.0 - math.exp(-2.0 * g2 / sigma2)))
-
-
-def _five_peak_gap(cfg: GameConfig, gamma: np.ndarray, v: np.ndarray) -> float:
-    sigma2, Sigma2 = filter_variances(cfg.nu)
-    gp = np.conj(v).T @ gamma
-    r2 = float(np.sum(np.real(gp) ** 2))
-    i2 = float(np.sum(np.imag(gp) ** 2))
-    return (cfg.eps0 * math.exp(-(r2 + i2) / Sigma2)
-            * (1.0 + math.exp(-2.0 * i2 / sigma2))
-            * (1.0 - math.exp(-2.0 * r2 / sigma2)))
+    if cfg.family == "three_peak":
+        g2 = np.sum(np.abs(gammas) ** 2, axis=1)
+        return ((2.0 * sigma2 < g2) & (g2 <= cfg.kappa * cfg.n),
+                2.0 * cfg.eps0 * np.exp(-g2 / Sigma2) * (1.0 - np.exp(-2.0 * g2 / sigma2)))
+    v = takagi_decompose(cfg.u).v
+    r2, i2 = _rotated_parts(gammas, v)
+    return (five_peak_window_indicator(gammas, v, sigma2, cfg.kappa, cfg.n),
+            cfg.eps0 * np.exp(-(r2 + i2) / Sigma2)
+            * (1.0 + np.exp(-2.0 * i2 / sigma2))
+            * (1.0 - np.exp(-2.0 * r2 / sigma2)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,85 +225,83 @@ def per_copy_tvd_bound(sigma_gamma2: float, n: int, eps0: float, copies: int):
 # The game
 # ---------------------------------------------------------------------------
 
-def _make_state(cfg: GameConfig, gamma: np.ndarray) -> PeakState:
-    if cfg.family == "three_peak":
-        return make_three_peak(cfg.n, cfg.nu, cfg.eps0, gamma)
-    return make_five_peak(cfg.n, cfg.nu, cfg.eps0, gamma, cfg.u)
+def _copy_blocks(cfg: GameConfig, weights: np.ndarray, centers: np.ndarray):
+    """What Bob measures on his copies of each state (weights, centers[i]).
 
-
-def _copy_blocks(cfg: GameConfig, state: PeakState):
-    """What Bob measures on his copies of `state`: [(mixture, count, estimate)].
-
+    Returns one list of blocks [(mixture, count, estimate)] per member.
     `estimate(outcomes, gamma)` is the block's estimator (chi^2 for Bell, chi
     for heterodyne) at the revealed gamma, as a length-1 array.
     Bell pairs the state with `bell_partner`, its conjugate.
     Heterodyne measures the `o` copies of `order` as they are and the `r`
     copies reflected; a reflected copy's chi at U gamma* equals chi at gamma.
-    Only blocks with copies are built.
+    Only blocks with copies are built; each block is one `peak_mixtures` call.
     """
     if cfg.bob == "ea_bell":
-        return [(bell_mixture(state, bell_partner(state, cfg.u)), cfg.copies,
-                 chi_squared_means)]
+        return [[(mix, cfg.copies, chi_squared_means)]
+                for mix in peak_mixtures("bell", cfg.nu, weights, centers)]
     n_o = (cfg.order * (cfg.copies // len(cfg.order) + 1))[:cfg.copies].count("o")
-    blocks = []
+    columns = []
     if n_o:
-        blocks.append((heterodyne_mixture(state), n_o, chi_heterodyne_means))
+        columns.append([(mix, n_o, chi_heterodyne_means)
+                        for mix in peak_mixtures("heterodyne", cfg.nu, weights, centers)])
     if cfg.copies - n_o:
-        blocks.append((heterodyne_mixture(reflect(state, cfg.u)), cfg.copies - n_o,
-                       lambda z, g: chi_heterodyne_means(z, cfg.u.matrix @ np.conj(g))))
-    return blocks
+        # each peak (w, gamma) reflects to (w, U^T gamma*), as `reflect` maps it
+        reflected = peak_mixtures("heterodyne", cfg.nu, weights, np.conj(centers) @ cfg.u.matrix)
+        columns.append([(mix, cfg.copies - n_o,
+                         lambda z, g: chi_heterodyne_means(z, cfg.u.matrix @ np.conj(g)))
+                        for mix in reflected])
+    return [list(blocks) for blocks in zip(*columns)]
+
+
+def _peak_blocks(cfg: GameConfig, gammas: np.ndarray):
+    """`_copy_blocks` of the family's peak states at each row of gammas (m >= 1, n).
+
+    The weights are fixed and the centers linear in gamma, so PeakState's
+    checks (one unit anchor, side mass, Hermitian pairing) and the Bell
+    reflection contract hold for every member once they hold for one: they
+    run on member 0.
+    """
+    weights, centers = peak_layout(cfg.n, cfg.eps0, gammas,
+                                   cfg.u if cfg.family == "five_peak" else None)
+    reference = PeakState(n=cfg.n, nu=cfg.nu, weights=weights, centers=centers[0],
+                          eps0=cfg.eps0)
+    if cfg.bob == "ea_bell":
+        validate_bell_pair(reference, bell_partner(reference, cfg.u))
+    return _copy_blocks(cfg, weights, centers)
 
 
 def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
-    """Play `trials` rounds; success counts exact hypothesis identification."""
+    """Play `trials` rounds; success counts exact hypothesis identification.
+
+    Trials are played in chunks of TRIAL_CHUNK, which bounds the memory a run
+    holds, and each chunk in three phases (`_play`):
+
+    1. each trial draws gamma, s and `peaked` from its own stream
+       `make_rng(seed, stream=t)`;
+    2. the window flags, gaps, chi0 = chi_thermal(gamma) and thresholds are
+       array operations over the chunk, and the copy blocks of its peaked
+       in-window trials are built as one family (`_peak_blocks`);
+    3. each trial samples its copies (or guesses) from its own stream, in the
+       order the stream had when trials were played one by one, and decides.
+
+    The TVD side estimate then builds the states at +-gamma of all its draws
+    as one family as well.
+    """
     thermal = make_thermal(cfg.n, cfg.nu)
-    v = takagi_decompose(cfg.u).v if cfg.family == "five_peak" else None
-    sigma2 = thermal.sigma2
     # Built once: every thermal trial and the TVD's null share these blocks.
-    null_blocks = _copy_blocks(cfg, thermal) if cfg.bob != "random" else []
+    null_blocks = (_copy_blocks(cfg, thermal.weights, thermal.centers[None])[0]
+                   if cfg.bob != "random" else [])
 
     correct = 0
     window_hits = 0
     log = []
-    for t in range(cfg.trials):
-        rng = make_rng(cfg.seed, stream=t)
-        gamma = sample_complex_gaussian(cfg.n, cfg.sigma_gamma2, 1, rng)[0]
-        s = 1 if rng.random() < 0.5 else -1
-        peaked = bool(rng.random() < 0.5)
-
-        if cfg.family == "three_peak":
-            g2 = float(np.sum(np.abs(gamma) ** 2))
-            in_window = 2.0 * sigma2 < g2 <= cfg.kappa * cfg.n
-            gap = _three_peak_gap(cfg, gamma)
-        else:
-            in_window = five_peak_window_indicator(gamma, v, sigma2, cfg.kappa, cfg.n)
-            gap = _five_peak_gap(cfg, gamma, v)
-        window_hits += in_window
-
-        entry = {"trial": t, "peaked": peaked, "s": s, "in_window": in_window,
-                 "gamma": [[z.real, z.imag] for z in gamma]}
-
-        if cfg.bob == "random" or not in_window:
-            decision = bool(rng.random() < 0.5)
-            entry.update(used_estimate=False)
-        else:
-            blocks = _copy_blocks(cfg, _make_state(cfg, s * gamma)) if peaked else null_blocks
-            est = complex(sum(count * estimate(mix.sample(count, rng, dtype=np.float32), gamma)[0]
-                              for mix, count, estimate in blocks)) / cfg.copies
-            # the peaked chi at gamma is chi0 + i gap; Bell pairs estimate its square
-            chi0 = complex(char_fn(thermal, gamma))
-            p = 2 if cfg.bob == "ea_bell" else 1
-            target = chi0 ** p
-            threshold = abs((chi0 + 1j * gap) ** p - target) / 2.0
-            decision = abs(est - target) > threshold
-            entry.update(used_estimate=True, estimate=[est.real, est.imag],
-                         threshold=threshold)
-
-        ok = decision == peaked
-        correct += ok
-        entry.update(decision="peaked" if decision else "thermal", correct=bool(ok))
-        if keep_log:
-            log.append(entry)
+    for start in range(0, cfg.trials, TRIAL_CHUNK):
+        for entry in _play(cfg, thermal, null_blocks,
+                           range(start, min(start + TRIAL_CHUNK, cfg.trials))):
+            correct += entry["correct"]
+            window_hits += entry["in_window"]
+            if keep_log:
+                log.append(entry)
 
     tvd, tvd_se = 0.0, 0.0
     if cfg.estimate_tvd and cfg.bob != "random":
@@ -314,17 +314,65 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
                       per_trial=log if keep_log else [])
 
 
+def _play(cfg: GameConfig, thermal: PeakState, null_blocks, trials: range) -> list[dict]:
+    """The log entries of `trials`, played in the three phases of `run_game`."""
+    rngs, gammas, signs, peaked = [], [], [], []
+    for t in trials:
+        rng = make_rng(cfg.seed, stream=t)
+        gammas.append(sample_complex_gaussian(cfg.n, cfg.sigma_gamma2, 1, rng)[0])
+        signs.append(1 if rng.random() < 0.5 else -1)
+        peaked.append(bool(rng.random() < 0.5))
+        rngs.append(rng)
+
+    gammas = np.array(gammas)
+    in_window, gap = _windows_and_gaps(cfg, gammas)
+    estimating = in_window & (cfg.bob != "random")
+    # the peaked chi at gamma is chi0 + i gap; Bell pairs estimate its square
+    chi0 = char_fn(thermal, gammas)
+    p = 2 if cfg.bob == "ea_bell" else 1
+    target = chi0 ** p
+    thresholds = (np.abs((chi0 + 1j * gap) ** p - target) / 2.0).tolist()
+    target = target.tolist()
+    blocks = [null_blocks] * len(trials)
+    hit = np.flatnonzero(estimating & np.array(peaked))
+    if hit.size:
+        for i, peak_blocks in zip(hit, _peak_blocks(cfg, np.array(signs)[hit, None] * gammas[hit])):
+            blocks[i] = peak_blocks
+
+    entries = []
+    for i, (t, rng) in enumerate(zip(trials, rngs)):
+        gamma = gammas[i]
+        entry = {"trial": t, "peaked": peaked[i], "s": signs[i], "in_window": bool(in_window[i]),
+                 "gamma": [[z.real, z.imag] for z in gamma]}
+        if not estimating[i]:
+            decision = bool(rng.random() < 0.5)
+            entry.update(used_estimate=False)
+        else:
+            est = complex(sum(count * estimate(mix.sample(count, rng, dtype=np.float32), gamma)[0]
+                              for mix, count, estimate in blocks[i])) / cfg.copies
+            decision = abs(est - target[i]) > thresholds[i]
+            entry.update(used_estimate=True, estimate=[est.real, est.imag],
+                         threshold=thresholds[i])
+        entry.update(decision="peaked" if decision else "thermal",
+                     correct=decision == peaked[i])
+        entries.append(entry)
+    return entries
+
+
 def _strategy_tvd(cfg: GameConfig, null_blocks):
     """E_gamma TVD of the strategy's classical data under the two hypotheses.
 
-    `null_blocks` are the strategy's copy blocks on the thermal state.
+    `null_blocks` are the strategy's copy blocks on the thermal state. The
+    states at +gamma and -gamma of every draw are built as one family.
     """
     rng = make_rng(cfg.seed, stream=1_000_003)
     gammas = sample_complex_gaussian(cfg.n, cfg.sigma_gamma2, cfg.tvd_gamma_draws, rng)
     null = [(mix, count) for mix, count, _ in null_blocks]
-
-    def pm(gamma):
-        plus, minus = (_copy_blocks(cfg, _make_state(cfg, g)) for g in (gamma, -gamma))
-        return [((p, m), count) for (p, count, _), (m, _, _) in zip(plus, minus)]
-
-    return tvd_pair(null, pm, cfg.copies, gammas, cfg.tvd_mc_samples, rng)
+    # members 2i and 2i + 1 are the states at +gamma_i and -gamma_i
+    members = _peak_blocks(cfg, np.stack([gammas, -gammas], axis=1).reshape(-1, cfg.n))
+    pm = {g.tobytes(): [((plus, minus), count)
+                        for (plus, count, _), (minus, _, _) in zip(members[2 * i],
+                                                                   members[2 * i + 1])]
+          for i, g in enumerate(gammas)}
+    return tvd_pair(null, lambda gamma: pm[gamma.tobytes()], cfg.copies, gammas,
+                    cfg.tvd_mc_samples, rng)

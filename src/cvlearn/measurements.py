@@ -21,20 +21,23 @@ import numpy as np
 
 from .errors import ValidationError, NumericFailure
 from .numerics import make_rng
-from .states import PeakState, char_fn, hermitian_partners, merge_coincident, s_ordered_peaks
+from .states import (PeakState, char_fn, family_runs, filter_variances, hermitian_partners,
+                     merge_family, s_ordered_peaks)
 
 ENVELOPE_GUARD = {np.float64: 1e-9, np.float32: 3e-6}
 PAIR_TOL = 1e-10    # |f_j + f_partner| and |Im Q| allowed by Hermitian pairing
+FAMILY_CHUNK = 256  # members built at once by peak_mixtures
 
 
 def phase_matrix(freqs) -> np.ndarray:
     """The (2n, k) real matrix Phi with [Re z | Im z] @ Phi = Im(z . f_j).
 
     Column j belongs to row f_j of `freqs` (k, n); `.` is the unconjugated
-    dot product, so Phi stacks Im f over Re f.
+    dot product, so Phi stacks Im f over Re f. A stack (..., k, n) gives a
+    stack of matrices.
     """
     f = np.atleast_2d(np.asarray(freqs, dtype=complex))
-    return np.concatenate([f.imag.T, f.real.T])
+    return np.concatenate([f.imag.swapaxes(-1, -2), f.real.swapaxes(-1, -2)], axis=-2)
 
 
 class SignedGaussianMixture:
@@ -46,60 +49,13 @@ class SignedGaussianMixture:
     with x = [1, cos th_1, sin th_1, ..., cos th_R, sin th_R], one angle per
     +/- pair. The envelope mass is the sum of moduli of the term amplitudes
     with coincident oscillations merged; the normalization audit must give 1.
+    One mixture is the one-member case of `mixture_family`.
     """
 
     def __init__(self, n: int, variance: float, freqs, coefs):
-        self.n = int(n)
-        self.variance = float(variance)
-        self.freqs = np.asarray(freqs, dtype=complex).reshape(-1, self.n)
-        self.coefs = np.asarray(coefs, dtype=complex)
-        self._build_form()
-        # The full term list: one oscillation per peak, or per ordered peak pair.
-        oscs = (self.freqs if self.coefs.ndim == 1
-                else (self.freqs[:, None] + self.freqs[None]).reshape(-1, self.n))
-        amps, oscs = merge_coincident(self.coefs.reshape(-1), oscs, drop=1e-16)
-        self.envelope_mass = float(np.sum(np.abs(amps)))
-        self.normalization_audit = float(np.real(np.sum(
-            amps * np.exp(-0.5 * self.variance * np.sum(np.abs(oscs) ** 2, axis=1)))))
-        if abs(self.normalization_audit - 1.0) > 1e-6:
-            raise NumericFailure(
-                f"mixture normalization audit failed: integral = {self.normalization_audit}")
-
-    def _build_form(self):
-        """Pair the peaks and fold the bracket into the real form x^T Q x."""
-        f = self.freqs
-        zero = np.linalg.norm(f, axis=1) <= PAIR_TOL
-        partner, dist = hermitian_partners(f)
-        idx = np.arange(len(f))
-        if np.any(~zero & ((dist > PAIR_TOL) | (partner[partner] != idx))):
-            raise NumericFailure("oscillation term lacks its conjugate partner")
-        reps = np.flatnonzero(~zero & (idx < partner))
-        cos_col = 1 + 2 * np.arange(len(reps))
-        sin_col = cos_col + 1
-        # e = P x with e_zero = 1, e_rep = cos + i sin and e_partner = conj(e_rep)
-        p = np.zeros((len(f), 1 + 2 * len(reps)), dtype=complex)
-        p[zero, 0] = 1.0
-        p[reps, cos_col] = 1.0
-        p[reps, sin_col] = 1j
-        p[partner[reps]] = np.conj(p[reps])
-        if self.coefs.ndim == 1:   # sum_j c_j e_j = x_0 (c^T P x)
-            q = np.outer(np.eye(1, p.shape[1]), self.coefs @ p)
-        else:
-            q = p.T @ self.coefs @ p
-        q = 0.5 * (q + q.T)
-        if np.max(np.abs(q.imag)) > PAIR_TOL:
-            raise NumericFailure("mixture bracket is not real; broken Hermitian pairing")
-        q = q.real
-        # cos^2 + sin^2 = 1 folds every sin^2 coefficient into the constant.
-        q[0, 0] += np.sum(q[sin_col, sin_col])
-        q[cos_col, cos_col] -= q[sin_col, sin_col]
-        q[sin_col, sin_col] = 0.0
-        self._const = q[0, 0]
-        # The terms c x_a x_b of x^T Q x (a <= b, x_0 = 1) that survive cancellation.
-        m = len(q)
-        self._terms = [(a, b, q[a, b] * (1.0 if a == b else 2.0))
-                       for a in range(m) for b in range(max(a, 1), m) if abs(q[a, b]) > 1e-16]
-        self._phase = phase_matrix(f[reps])
+        freqs = np.asarray(freqs, dtype=complex).reshape(1, -1, int(n))
+        vars(self).update(vars(mixture_family(n, variance, freqs,
+                                              np.asarray(coefs, dtype=complex)[None])[0]))
 
     # -- evaluation ---------------------------------------------------------
     def _bracket(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -181,17 +137,128 @@ class SignedGaussianMixture:
         return out.astype(complex, copy=False) if dtype == np.float64 else out
 
 
+def mixture_family(n: int, variance: float, freqs, coefs) -> list[SignedGaussianMixture]:
+    """SignedGaussianMixture(n, variance, freqs[i], coefs[i]) for every member i, built at once.
+
+    `freqs` is (m, k, n) and `coefs` (m, k) or (m, k, k). Members that share a
+    term layout (which frequencies vanish, which pair up, which oscillations
+    merge) are built together: one batched product folds their brackets into
+    x^T Q x, and their envelope-mass and audit terms are array operations,
+    each member summing its own row as a one-member build would. Every
+    member's pairing, reality and audit tolerances are checked.
+    """
+    n, variance = int(n), float(variance)
+    f = np.asarray(freqs, dtype=complex)
+    coefs = np.asarray(coefs, dtype=complex)
+    m, k = f.shape[:2]
+    members = [SignedGaussianMixture.__new__(SignedGaussianMixture) for _ in range(m)]
+    idx = np.arange(k)
+    zero = np.linalg.norm(f, axis=2) <= PAIR_TOL
+    partner, dist = hermitian_partners(f)
+    if np.any(~zero & ((dist > PAIR_TOL) | (partner[np.arange(m)[:, None], partner] != idx))):
+        raise NumericFailure("oscillation term lacks its conjugate partner")
+    for run in family_runs(zero, partner):
+        reps = np.flatnonzero(~zero[run[0]] & (idx < partner[run[0]]))
+        cos_col = 1 + 2 * np.arange(len(reps))
+        sin_col = cos_col + 1
+        # e = P x with e_zero = 1, e_rep = cos + i sin and e_partner = conj(e_rep)
+        p = np.zeros((k, 1 + 2 * len(reps)), dtype=complex)
+        p[zero[run[0]], 0] = 1.0
+        p[reps, cos_col] = 1.0
+        p[reps, sin_col] = 1j
+        p[partner[run[0], reps]] = np.conj(p[reps])
+        if coefs.ndim == 2:   # sum_j c_j e_j = x_0 (c^T P x)
+            q = np.zeros((len(run), p.shape[1], p.shape[1]), dtype=complex)
+            q[:, 0] = coefs[run] @ p
+        else:
+            q = p.T @ coefs[run] @ p
+        q = 0.5 * (q + q.swapaxes(1, 2))
+        if np.max(np.abs(q.imag)) > PAIR_TOL:
+            raise NumericFailure("mixture bracket is not real; broken Hermitian pairing")
+        q = q.real
+        # cos^2 + sin^2 = 1 folds every sin^2 coefficient into the constant.
+        q[:, 0, 0] += np.sum(q[:, sin_col, sin_col], axis=1)
+        q[:, cos_col, cos_col] -= q[:, sin_col, sin_col]
+        q[:, sin_col, sin_col] = 0.0
+        # The terms c x_a x_b of x^T Q x (a <= b, x_0 = 1) that survive cancellation.
+        pairs = [(a, b) for a in range(p.shape[1]) for b in range(max(a, 1), p.shape[1])]
+        a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
+        kept = np.abs(q[:, a, b]) > 1e-16
+        scaled = (q[:, a, b] * np.where(a == b, 1.0, 2.0)).tolist()
+        phases = phase_matrix(f[run][:, reps])
+        for i, j in enumerate(run):
+            mix = members[j]
+            mix.n, mix.variance, mix._const, mix._phase = n, variance, float(q[i, 0, 0]), phases[i]
+            mix._terms = [(*ab, c) for ab, c, keep in zip(pairs, scaled[i], kept[i]) if keep]
+    # The full term list: one oscillation per peak, or per ordered peak pair.
+    oscs = f if coefs.ndim == 2 else (f[:, :, None] + f[:, None]).reshape(m, -1, n)
+    for run, amps, osc in merge_family(coefs.reshape(m, -1), oscs, drop=1e-16):
+        moduli = np.abs(amps)
+        terms = amps * np.exp(-0.5 * variance * np.sum(np.abs(osc) ** 2, axis=2))
+        # Each member sums its own row, so its total is that of a one-member build.
+        for j, modulus_row, term_row in zip(run, moduli, terms):
+            audit = float(np.real(term_row.sum()))
+            if abs(audit - 1.0) > 1e-6:
+                raise NumericFailure(f"mixture normalization audit failed: integral = {audit}")
+            members[j].envelope_mass = float(modulus_row.sum())
+            members[j].normalization_audit = audit
+    return members
+
+
 # ---------------------------------------------------------------------------
 # Density constructors
 # ---------------------------------------------------------------------------
 
+def peak_mixtures(scheme: str, nu: float, weights, centers) -> list[SignedGaussianMixture]:
+    """Bell or heterodyne outcome mixtures of the peak states (weights, centers[i]).
+
+    `centers` is (m, k, n) and `weights` (k,) is shared by the members. Each
+    member's coincident peaks merge as PeakState merges them, so member i is
+    the mixture `bell_mixture` / `heterodyne_mixture` builds for
+    PeakState(n, nu, weights, centers[i]); members that merge alike are one
+    `mixture_family`. PeakState's own checks are not run here.
+
+    Heterodyne is the Husimi Q density, the s = -1 quasiprobability: one term
+    per peak, V = t/2. Bell is the symplectic Fourier transform of chi^2, the
+    double sum over peak pairs (j, k) of Gaussians in alpha, so p(zeta) has
+    one term per ordered pair with
+
+        amp = w_j w_k exp[-a(|g_j|^2+|g_k|^2) + |g_j+g_k|^2/(8 a sigma^4)],
+        osc = (g_j + g_k)/(2 a sigma^2),          V = a.
+
+    The oscillation is f_j + f_k with f_j = g_j/(2 a sigma^2), so the bracket
+    is e^T C e in the peak phasors with C_jk = amp.
+    """
+    centers = np.asarray(centers, dtype=complex)
+    m, k, n = centers.shape
+    if m > FAMILY_CHUNK:   # bounds the (members, terms, terms, n) merge temporaries
+        return [mix for start in range(0, m, FAMILY_CHUNK)
+                for mix in peak_mixtures(scheme, nu, weights, centers[start:start + FAMILY_CHUNK])]
+    sig2, Sig2 = filter_variances(nu)
+    a = 0.5 / sig2 + 0.5 / Sig2
+    out = [None] * m
+    for run, w, g in merge_family(np.broadcast_to(weights, (m, k)), centers, drop=1e-15):
+        if scheme == "heterodyne":
+            t, amps, freqs = s_ordered_peaks(nu, -1.0, w, g)
+            mixes = mixture_family(n, t / 2.0, freqs, amps)
+        else:
+            abs2_g = np.sum(np.abs(g) ** 2, axis=2)
+            m2 = np.sum(np.abs(g[:, :, None] + g[:, None]) ** 2, axis=3)
+            coefs = (w[:, :, None] * w[:, None]
+                     * np.exp(-a * (abs2_g[:, :, None] + abs2_g[:, None])
+                              + m2 / (8.0 * a * sig2 ** 2)))
+            mixes = mixture_family(n, a, g / (2.0 * a * sig2), coefs)
+        for i, mix in zip(run, mixes):
+            out[i] = mix
+    return out
+
+
 def heterodyne_mixture(state: PeakState) -> SignedGaussianMixture:
-    """Husimi Q density, the s = -1 quasiprobability: one term per peak, V = t/2."""
-    t, amps, freqs = s_ordered_peaks(state, -1.0)
-    return SignedGaussianMixture(n=state.n, variance=t / 2.0, freqs=freqs, coefs=amps)
+    """Husimi Q density of one state: the one-member case of `peak_mixtures`."""
+    return peak_mixtures("heterodyne", state.nu, state.weights, state.centers[None])[0]
 
 
-def _validate_bell_pair(state: PeakState, partner: PeakState):
+def validate_bell_pair(state: PeakState, partner: PeakState):
     """The Bell inputs must satisfy chi_partner(alpha*) = chi_state(alpha).
 
     The partner is the reflected state sent through the linear-optical
@@ -210,28 +277,9 @@ def _validate_bell_pair(state: PeakState, partner: PeakState):
 
 
 def bell_mixture(state: PeakState, partner: PeakState) -> SignedGaussianMixture:
-    """Bell outcome density: the symplectic Fourier transform of chi^2.
-
-    chi^2 of a peak state is the double sum over peak pairs (j, k) of
-    Gaussians in alpha, so p(zeta) has one term per ordered pair with
-
-        amp = w_j w_k exp[-a(|g_j|^2+|g_k|^2) + |g_j+g_k|^2/(8 a sigma^4)],
-        osc = (g_j + g_k)/(2 a sigma^2),          V = a.
-
-    The oscillation is f_j + f_k with f_j = g_j/(2 a sigma^2), so the bracket
-    is e^T C e in the peak phasors with C_jk = amp.
-    """
-    _validate_bell_pair(state, partner)
-    a = state.a
-    sig2 = state.sigma2
-    w = state.weights
-    g = state.centers
-    abs2_g = np.sum(np.abs(g) ** 2, axis=1)
-    m2 = np.sum(np.abs(g[:, None, :] + g[None, :, :]) ** 2, axis=2)
-    coefs = (w[:, None] * w[None, :]
-             * np.exp(-a * (abs2_g[:, None] + abs2_g[None, :]) + m2 / (8.0 * a * sig2 ** 2)))
-    return SignedGaussianMixture(n=state.n, variance=a, freqs=g / (2.0 * a * sig2),
-                                 coefs=coefs)
+    """Bell outcome density of a validated input pair: one member of `peak_mixtures`."""
+    validate_bell_pair(state, partner)
+    return peak_mixtures("bell", state.nu, state.weights, state.centers[None])[0]
 
 
 def bell_density(state: PeakState, reflected_then_circuit: PeakState, zeta):
@@ -327,11 +375,10 @@ def sample_bell(state: PeakState, reflected_then_circuit: PeakState, count: int,
                           "partner": reflected_then_circuit.to_json_dict()})
 
 
-def sample_heterodyne(state: PeakState, count: int, seed: int,
-                      dtype=np.float64) -> MeasurementRecord:
-    """i.i.d. heterodyne outcomes from the Husimi Q density."""
+def sample_heterodyne(state: PeakState, count: int, seed: int) -> MeasurementRecord:
+    """i.i.d. float64 heterodyne outcomes from the Husimi Q density."""
     mix = heterodyne_mixture(state)
-    outcomes = mix.sample(count, make_rng(seed), dtype=dtype)
+    outcomes = mix.sample(count, make_rng(seed))
     return MeasurementRecord(
         scheme="heterodyne", outcomes=outcomes, seed=seed, n=state.n,
         state_descriptor={"state": state.to_json_dict()})

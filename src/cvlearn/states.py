@@ -148,10 +148,42 @@ class PeakState:
 
 
 def hermitian_partners(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row v_i, the index j of its nearest -v_i partner and |v_i + v_j|."""
-    dist = np.linalg.norm(vectors[:, None] + vectors[None], axis=2)
-    partner = np.argmin(dist, axis=1)
-    return partner, dist[np.arange(len(vectors)), partner]
+    """For each row v_i, the index j of its nearest -v_i partner and |v_i + v_j|.
+
+    `vectors` is one list (k, n) or a stack (..., k, n) of lists, each paired on its own.
+    """
+    dist = np.linalg.norm(vectors[..., :, None, :] + vectors[..., None, :, :], axis=-1)
+    partner = np.argmin(dist, axis=-1)
+    return partner, np.take_along_axis(dist, partner[..., None], axis=-1)[..., 0]
+
+
+def family_runs(*keys) -> list[np.ndarray]:
+    """Index arrays of the members that agree on every key; key j is (m, ...) per member."""
+    flat = np.concatenate([np.reshape(k, (len(k), -1)) for k in keys], axis=1)
+    if np.all(flat == flat[0]):
+        return [np.arange(len(flat))]
+    _, inverse = np.unique(flat, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return [np.flatnonzero(inverse == j) for j in range(inverse.max() + 1)]
+
+
+def merge_family(weights: np.ndarray, vectors: np.ndarray, drop: float):
+    """`merge_coincident` on every member of a family: weights (m, K), vectors (m, K, n).
+
+    Yields (members, weights, vectors) for each run of members that merge
+    alike, with the merged weights (len(members), K') and vectors
+    (len(members), K', n). Each member's sums run in the order of a single merge.
+    """
+    # real and imaginary parts of v_i - v_j: each squared distance is one dot product
+    diff = (vectors[:, :, None] - vectors[:, None]).view(float)
+    near = np.einsum("...i,...i->...", diff, diff) <= MERGE_TOL ** 2
+    first = np.argmax(near, axis=-1)
+    summed = np.zeros(weights.shape, dtype=complex)
+    np.add.at(summed, (np.arange(len(weights))[:, None], first), weights)
+    keep = (first == np.arange(weights.shape[1])) & (np.abs(summed) > drop)
+    for members in family_runs(first, keep):
+        cols = np.flatnonzero(keep[members[0]])
+        yield members, summed[members][:, cols], vectors[members][:, cols]
 
 
 def merge_coincident(weights: np.ndarray, vectors: np.ndarray, drop: float):
@@ -161,12 +193,8 @@ def merge_coincident(weights: np.ndarray, vectors: np.ndarray, drop: float):
     """
     if len(weights) == 0:
         return weights, vectors
-    near = np.linalg.norm(vectors[:, None] - vectors[None], axis=2) <= MERGE_TOL
-    first = np.argmax(near, axis=1)
-    summed = np.zeros(len(weights), dtype=complex)
-    np.add.at(summed, first, weights)
-    keep = (first == np.arange(len(weights))) & (np.abs(summed) > drop)
-    return summed[keep], vectors[keep]
+    ((_, summed, kept),) = merge_family(weights[None], vectors[None], drop)
+    return summed[0], kept[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +213,43 @@ def make_thermal(n: int, nu: float) -> PeakState:
                      centers=np.zeros((1, n), dtype=complex))
 
 
+def peak_layout(n: int, eps0: float, gammas, u: SymmetricUnitary | None = None):
+    """Weights (k,) and centers (m, k, n) of the peak states at each row of gammas (m, n).
+
+    Without `u` the three peaks {(1, 0), (2i eps0, gamma), (-2i eps0, -gamma)};
+    with it the five peaks {(1,0), (+-i eps0, +-gamma), (+-i eps0, +-U^T gamma*)}.
+    The weights are fixed and the centers linear in gamma, so every member has
+    one structure; coincident peaks are merged by PeakState, not here.
+    """
+    _check_eps0(eps0)
+    g = np.asarray(gammas, dtype=complex)
+    if g.ndim != 2 or g.shape[1] != n:
+        raise ValidationError(f"expected (m, {n}) complex centers, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValidationError("center vector has non-finite entries")
+    zero = np.zeros_like(g)
+    if u is None:
+        return (np.array([1.0, 2j * eps0, -2j * eps0], dtype=complex),
+                np.stack([zero, g, -g], axis=1))
+    if u.n != n:
+        raise ValidationError(f"unitary is {u.n}x{u.n} but the state has {n} modes")
+    # one vector-matrix product per row: the arithmetic of a single U^T gamma*
+    gr = (np.conj(g)[:, None, :] @ u.matrix)[:, 0]
+    return (np.array([1.0, 1j * eps0, -1j * eps0, 1j * eps0, -1j * eps0], dtype=complex),
+            np.stack([zero, g, -g, gr, -gr], axis=1))
+
+
 def make_three_peak(n: int, nu: float, eps0: float, gamma) -> PeakState:
     """Peaks {(1, 0), (2i eps0, gamma), (-2i eps0, -gamma)}."""
-    _check_eps0(eps0)
-    g = _as_center_array(gamma, n)
-    weights = np.array([1.0, 2j * eps0, -2j * eps0], dtype=complex)
-    centers = np.stack([np.zeros(n, dtype=complex), g, -g])
-    return PeakState(n=n, nu=nu, weights=weights, centers=centers, eps0=eps0)
+    weights, centers = peak_layout(n, eps0, _as_center_array(gamma, n)[None])
+    return PeakState(n=n, nu=nu, weights=weights, centers=centers[0], eps0=eps0)
 
 
 def make_five_peak(n: int, nu: float, eps0: float, gamma,
                    u: SymmetricUnitary) -> PeakState:
     """Peaks {(1,0), (+-i eps0, +-gamma), (+-i eps0, +-U^T gamma*)}; reflection symmetric."""
-    _check_eps0(eps0)
-    g = _as_center_array(gamma, n)
-    if u.n != n:
-        raise ValidationError(f"unitary is {u.n}x{u.n} but the state has {n} modes")
-    gr = u.matrix.T @ np.conj(g)
-    weights = np.array([1.0, 1j * eps0, -1j * eps0, 1j * eps0, -1j * eps0], dtype=complex)
-    centers = np.stack([np.zeros(n, dtype=complex), g, -g, gr, -gr])
-    return PeakState(n=n, nu=nu, weights=weights, centers=centers, eps0=eps0)
+    weights, centers = peak_layout(n, eps0, _as_center_array(gamma, n)[None], u)
+    return PeakState(n=n, nu=nu, weights=weights, centers=centers[0], eps0=eps0)
 
 
 def three_peak_plus(state: PeakState) -> np.ndarray | None:
@@ -305,18 +350,20 @@ def _check_s(s: float):
         raise ValidationError(f"ordering parameter s must lie in [-1, 1], got {s}")
 
 
-def s_ordered_peaks(state: PeakState, s: float):
+def s_ordered_peaks(nu: float, s: float, weights, centers):
     """(t, amps, freqs) of the s-ordered quasiprobability's per-peak terms.
 
     Peak (w, gamma) contributes amp (pi t)^-n e^{-|beta|^2/t} e^{i Im(f . beta)}
     with t = a - s/2, amp = w e^{(1/(4 t sigma^4) - a)|gamma|^2} and
-    f = gamma* / (t sigma^2), `.` the unconjugated dot product.
+    f = gamma* / (t sigma^2), `.` the unconjugated dot product. Takes one
+    peak list (weights (k,), centers (k, n)) or a stack (..., k) / (..., k, n).
     """
-    t = state.a - 0.5 * s
-    sig2 = state.sigma2
-    abs2_g = np.sum(np.abs(state.centers) ** 2, axis=1)
-    amps = state.weights * _clamped_exp((1.0 / (4.0 * t * sig2 ** 2) - state.a) * abs2_g)
-    return t, amps, np.conj(state.centers) / (t * sig2)
+    sig2, Sig2 = filter_variances(nu)
+    a = 0.5 / sig2 + 0.5 / Sig2
+    t = a - 0.5 * s
+    abs2_g = np.sum(np.abs(centers) ** 2, axis=-1)
+    amps = weights * _clamped_exp((1.0 / (4.0 * t * sig2 ** 2) - a) * abs2_g)
+    return t, amps, np.conj(centers) / (t * sig2)
 
 
 def s_qpd(state: PeakState, s: float, beta):
@@ -329,7 +376,7 @@ def s_qpd(state: PeakState, s: float, beta):
     """
     _check_s(s)
     pts, single = _as_points(beta, state.n)
-    t, amps, freqs = s_ordered_peaks(state, s)
+    t, amps, freqs = s_ordered_peaks(state.nu, s, state.weights, state.centers)
     abs2_b = np.sum(np.abs(pts) ** 2, axis=1)
     base = _clamped_exp(-abs2_b / t) / (np.pi * t) ** state.n
     vals = base * np.real(np.exp(1j * np.imag(pts @ freqs.T)) @ amps)

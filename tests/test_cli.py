@@ -406,6 +406,15 @@ class TestInputErrors:
                    "--count", "10", "--seed", "1", "--out", str(tmp_path / "r.jsonl")])
         assert rc == 2
 
+    @pytest.mark.parametrize("key, value", [("copies", 2.5), ("trials", 2.5), ("n", 1.0),
+                                            ("seed", 1.5), ("tvd_gamma_draws", 0),
+                                            ("tvd_mc_samples", 0), ("tvd_mc_samples", 2.5)])
+    def test_non_integer_or_empty_game_counts_are_2(self, tmp_path, capsys, key, value):
+        cfg = {"family": "three_peak", "n": 1, "nu": 0.9, "eps0": 0.25, "kappa": 2.0,
+               "copies": 10, "trials": 2, key: value}
+        assert self._game(tmp_path, cfg) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
     def test_game_config_without_n_is_2(self, tmp_path, capsys):
         cfg = {"family": "three_peak", "nu": 0.9, "eps0": 0.25, "kappa": 2.0,
                "copies": 10, "trials": 2}

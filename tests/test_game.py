@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from cvlearn import game
+from cvlearn import game, measurements
 from cvlearn.bounds import BoundInputs, lb_ef
 from cvlearn.errors import ValidationError
 from cvlearn.game import (
@@ -215,12 +215,14 @@ class TestRunGame:
     @pytest.mark.parametrize("bob, order", [("ea_bell", "o"), ("ef_heterodyne", "or")])
     def test_thermal_blocks_built_once(self, monkeypatch, family, bob, order):
         # Thermal trials and the TVD's null share one build of the thermal
-        # blocks; each in-window peaked trial and each TVD gamma (+/-) builds its own.
+        # blocks; each in-window peaked trial and each TVD gamma (+/-) gets its
+        # own mixture, from one family build per block for the trials and one
+        # for the TVD.
         built = []
-        for name in ("bell_mixture", "heterodyne_mixture"):
-            inner = getattr(game, name)
-            monkeypatch.setattr(game, name,
-                                lambda st, *a, _inner=inner: built.append(st) or _inner(st, *a))
+        inner = game.peak_mixtures
+        monkeypatch.setattr(game, "peak_mixtures", lambda scheme, nu, weights, centers:
+                            built.append((len(weights), inner(scheme, nu, weights, centers)))
+                            or built[-1][1])
         u = random_symmetric_unitary(1, make_rng(17))
         cfg = GameConfig(family=family, n=1, nu=0.9, eps0=0.25, kappa=2.0, copies=8, u=u,
                          trials=60, bob=bob, seed=18, order=order,
@@ -228,9 +230,82 @@ class TestRunGame:
         res = run_game(cfg)
         blocks = len(order)
         assert any(e["used_estimate"] and not e["peaked"] for e in res.per_trial)
-        assert sum(len(st.weights) == 1 for st in built) == blocks
+        thermal = [mixes for peaks, mixes in built if peaks == 1]
+        assert [len(mixes) for mixes in thermal] == [1] * blocks
+        families = [mixes for peaks, mixes in built if peaks > 1]
+        assert len(families) == 2 * blocks
         peaked = sum(e["used_estimate"] and e["peaked"] for e in res.per_trial)
-        assert len(built) == blocks * (1 + peaked + 2 * cfg.tvd_gamma_draws)
+        members = [id(mix) for mixes in families for mix in mixes]
+        assert len(set(members)) == len(members) == blocks * (peaked + 2 * cfg.tvd_gamma_draws)
+
+    def test_chunks_change_no_trial(self, monkeypatch):
+        # Chunks of trials, and of family members, leave every draw and decision as is.
+        u = random_symmetric_unitary(2, make_rng(19))
+        cfg = GameConfig(family="five_peak", n=2, nu=0.9, eps0=0.25, kappa=2.0, copies=8,
+                         u=u, trials=40, bob="ea_bell", seed=20, tvd_gamma_draws=5,
+                         tvd_mc_samples=10)
+        whole = run_game(cfg)
+        monkeypatch.setattr(game, "TRIAL_CHUNK", 7)
+        monkeypatch.setattr(measurements, "FAMILY_CHUNK", 3)
+        chunked = run_game(cfg)
+        assert chunked.per_trial == whole.per_trial
+        assert (chunked.empirical_tvd, chunked.tvd_stderr) == (whole.empirical_tvd,
+                                                               whole.tvd_stderr)
+
+
+# Per-trial decisions ("p" peaked, "t" thermal), window flags, thresholds of the
+# trials that estimate, and (empirical_tvd, tvd_stderr), as the trial-by-trial
+# game computed them before its copy blocks were built as one family.
+PINNED_GAMES = [
+    (("three_peak", "ea_bell", "o", 1),
+     "tpptppttptpttppppppptttpppttpptppptppppp", "0000110010111110111000001100110001001011",
+     [0.13496914818787714, 0.1192199513871329, 0.10699618820830178, 0.11352014317780516,
+      0.10329451007403476, 0.1281026942314511, 0.10169934921235199, 0.10898800960980932,
+      0.20959302964796478, 0.10428636872332728, 0.11109757368459557, 0.11395445194727477,
+      0.13584942769673586, 0.11335576694550523, 0.11294952714293405, 0.10984051715821308,
+      0.10395505897783129, 0.1030745411897512, 0.14509504908227347],
+     (0.4569198487716021, 0.0203662031354884)),
+    (("three_peak", "ef_heterodyne", "o", 2),
+     "pttpppppptppppptttppptptpptpppppppppptpp", "1000110110111111001100101111110001111011",
+     [0.20752032615290625, 0.2334726719388339, 0.21646050054202184, 0.2204931968622757,
+      0.2302199076591635, 0.2356350166511441, 0.22412538411133495, 0.24270611548687224,
+      0.2253422497242018, 0.20424176597222019, 0.24102341120371634, 0.22643651802473513,
+      0.215770316233128, 0.2083394719366616, 0.23196796368361608, 0.22521766957447756,
+      0.23733825038309295, 0.21231763195701558, 0.23131897844911684, 0.23454753571899928,
+      0.2084197359326604, 0.2100948874217594, 0.2052021521351188, 0.22201932268604915,
+      0.20484887727245316, 0.23691554062154271],
+     (0.01043025453340091, 0.006782083461985544)),
+    (("five_peak", "ea_bell", "o", 2),
+     "pttpppppptpppptpttppptttppppptpppppptptt", "1000110110100101001100001111100111110101",
+     [0.025163146892465998, 0.029867192864093835, 0.025790294527351532, 0.02608308847774572,
+      0.028052953114911575, 0.03020030793096313, 0.02719825027479251, 0.06135345029228182,
+      0.027434467412882715, 0.025679397572888417, 0.028327304650693122, 0.02698728108318287,
+      0.062405834562318234, 0.025133023989819932, 0.028258621522166443, 0.022988159136093658,
+      0.02225167760686092, 0.024581419961016593, 0.024782855221037056, 0.024016403052209267,
+      0.022871143188418167, 0.029794578958760087],
+     (0.19701713195054776, 0.024575324381814437)),
+    (("five_peak", "ef_heterodyne", "or", 1),
+     "tpptpptpptttpptppttptttppttttptppttppppp", "0000000110010000000100101000110000001010",
+     [0.12340574897480165, 0.11866945193893084, 0.1751769071323804, 0.116375669787296,
+      0.11543696902840428, 0.1839323397276547, 0.125084120955105, 0.1240645159735644,
+      0.11755332617614536, 0.11723367530403221],
+     (0.16190399981338904, 0.046210306285334034)),
+]
+
+
+@pytest.mark.parametrize("case, decisions, windows, thresholds, tvd", PINNED_GAMES)
+def test_pinned_decisions(case, decisions, windows, thresholds, tvd):
+    family, bob, order, n = case
+    u = random_symmetric_unitary(n, make_rng(50 + n))
+    cfg = GameConfig(family=family, n=n, nu=0.9, eps0=0.25, kappa=2.0, copies=30, u=u,
+                     trials=40, bob=bob, seed=61, order=order, tvd_gamma_draws=4,
+                     tvd_mc_samples=20)
+    res = run_game(cfg)
+    assert "".join(e["decision"][0] for e in res.per_trial) == decisions
+    assert "".join("1" if e["in_window"] else "0" for e in res.per_trial) == windows
+    got = [e["threshold"] for e in res.per_trial if e["used_estimate"]]
+    assert got == pytest.approx(thresholds, rel=1e-12)
+    assert (res.empirical_tvd, res.tvd_stderr) == pytest.approx(tvd, rel=1e-12)
 
 
 class TestThresholds:

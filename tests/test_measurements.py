@@ -19,10 +19,11 @@ from cvlearn.measurements import (
     bell_mixture,
     heterodyne_density,
     heterodyne_mixture,
+    peak_mixtures,
     sample_bell,
     sample_heterodyne,
 )
-from cvlearn.numerics import make_rng, random_symmetric_unitary
+from cvlearn.numerics import SymmetricUnitary, make_rng, random_symmetric_unitary
 from cvlearn.states import (
     apply_circuit,
     bell_partner,
@@ -30,6 +31,8 @@ from cvlearn.states import (
     make_five_peak,
     make_thermal,
     make_three_peak,
+    peak_layout,
+    reflect,
     s_qpd,
 )
 
@@ -371,6 +374,55 @@ class TestPhasorForm:
         mix = heterodyne_mixture(make_thermal(1, 0.5))
         with pytest.raises(ValidationError, match="float32 or float64"):
             mix.sample(10, make_rng(0), dtype=np.float16)
+
+
+class TestPeakMixtures:
+    """Family members built in one call against the per-state constructors."""
+
+    @staticmethod
+    def single(family, n, nu, eps0, g, u, scheme):
+        st = (make_three_peak(n, nu, eps0, g) if family == "three_peak"
+              else make_five_peak(n, nu, eps0, g, u))
+        if scheme == "bell":
+            return bell_mixture(st, bell_partner(st, u))
+        return heterodyne_mixture(reflect(st, u) if scheme == "reflected" else st)
+
+    def assert_members_match(self, family, n, nu, eps0, gammas, u, scheme, rng):
+        weights, centers = peak_layout(n, eps0, gammas, u if family == "five_peak" else None)
+        if scheme == "reflected":
+            centers = np.conj(centers) @ u.matrix
+        members = peak_mixtures("bell" if scheme == "bell" else "heterodyne", nu, weights,
+                                centers)
+        zeta = 1.3 * (rng.normal(size=(200, n)) + 1j * rng.normal(size=(200, n)))
+        for g, mix in zip(gammas, members):
+            ref = self.single(family, n, nu, eps0, g, u, scheme)
+            assert np.max(np.abs(mix.value(zeta) - ref.value(zeta))) < 1e-12
+            assert np.max(np.abs(mix.log_value(zeta) - ref.log_value(zeta))) < 1e-12
+            assert mix.envelope_mass == pytest.approx(ref.envelope_mass, abs=1e-12)
+            assert mix.normalization_audit == pytest.approx(ref.normalization_audit, abs=1e-12)
+            for dtype in (np.float32, np.float64):
+                seed = int(rng.integers(1 << 30))
+                assert np.array_equal(mix.sample(50, make_rng(seed), dtype=dtype),
+                                      ref.sample(50, make_rng(seed), dtype=dtype))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["three_peak", "five_peak"])
+    @pytest.mark.parametrize("scheme", ["bell", "heterodyne", "reflected"])
+    def test_members_match_single_states(self, n, family, scheme):
+        rng = make_rng(70 + n)
+        u = random_symmetric_unitary(n, rng)
+        gammas = 0.9 * (rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n)))
+        self.assert_members_match(family, n, 0.8, 0.2, gammas, u, scheme, rng)
+
+    @pytest.mark.parametrize("scheme", ["bell", "heterodyne", "reflected"])
+    def test_merged_five_peak_members(self, scheme):
+        # U = I and a real gamma give U^T gamma* = gamma: the five peaks merge to
+        # three, as PeakState merges them, next to members that do not merge.
+        u = SymmetricUnitary(matrix=np.eye(2, dtype=complex))
+        gammas = np.array([[0.7, -0.4], [0.5 + 0.3j, 0.2j], [-1.1, 0.3]], dtype=complex)
+        self.assert_members_match("five_peak", 2, 0.8, 0.2, gammas, u, scheme, make_rng(2))
+        assert len(make_five_peak(2, 0.8, 0.2, gammas[0], u).weights) == 3
+        assert len(make_five_peak(2, 0.8, 0.2, gammas[1], u).weights) == 5
 
 
 class TestRecordChecks:
