@@ -138,6 +138,10 @@ def lambda_from_state(state: PeakState, r: float, s_max: float | None = None,
     """
     if r < 0:
         raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
+    if sets < 1 or points_per_set < 1:
+        # with no Bochner check run, "passed" would be vacuous
+        raise ValidationError(
+            f"sets and points_per_set must be >= 1, got {sets} and {points_per_set}")
     if s_max is None:
         s_max = _state_smax(state)
     damp = math.exp(-2.0 * r)

@@ -56,6 +56,17 @@ def parse_cvector(text: str, n: int | None = None) -> np.ndarray:
     return vec
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def _load_json(path):
     with open(path) as fh:
         try:
@@ -278,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = state.add_subparsers(dest="subcommand", required=True)
     ev = ssub.add_parser("eval", help="grid CSV + JSON summary")
     _add_state_source(ev)
-    ev.add_argument("--grid", type=int, default=128)
+    ev.add_argument("--grid", type=positive_int, default=128)
     ev.add_argument("--out", required=True, help="output prefix")
     ev.set_defaults(func=cmd_state_eval)
     cl = ssub.add_parser("classicality", help="s_max report for a three-peak state")
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"comma list from {sorted(BOUND_FAMILIES)}")
     curve.add_argument("--grid-min", type=float, required=True)
     curve.add_argument("--grid-max", type=float, required=True)
-    curve.add_argument("--points", type=int, default=50)
+    curve.add_argument("--points", type=positive_int, default=50)
     curve.add_argument("--epsilon", type=float, required=True)
     curve.add_argument("--delta", type=float, default=1 / 3)
     curve.add_argument("--kappa", type=float, default=2.0)
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--k-copies", type=int, default=1)
     curve.add_argument("--classicality", type=float)
     curve.add_argument("--eta3", type=float, default=1e-6)
-    curve.add_argument("--m-points", type=int, default=1)
+    curve.add_argument("--m-points", type=positive_int, default=1)
     curve.add_argument("--out", required=True)
     curve.set_defaults(func=cmd_bounds_curve)
 
@@ -339,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk = csub.add_parser("check")
     _add_state_source(chk)
     chk.add_argument("--r", type=float, required=True)
-    chk.add_argument("--sets", type=int, default=100)
+    chk.add_argument("--sets", type=positive_int, default=100)
     chk.add_argument("--out", required=True)
     chk.set_defaults(func=cmd_channel_check)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, NumericFailure
-from .numerics import make_rng
+from .numerics import check_mode_count, make_rng
 from .states import (PeakState, char_fn, family_runs, filter_variances, hermitian_partners,
                      merge_family, s_ordered_peaks)
 
@@ -311,6 +311,7 @@ class MeasurementRecord:
     def __post_init__(self):
         if self.scheme not in ("bell", "heterodyne"):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
+        check_mode_count(self.n)
         self.outcomes = np.asarray(self.outcomes, dtype=complex).reshape(-1, self.n)
         if self.outcomes.shape[0] < 1:
             raise ValidationError("measurement record must hold at least one outcome")

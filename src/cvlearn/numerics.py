@@ -3,6 +3,8 @@ factorization of symmetric unitaries, complex Gaussian sampling, PSD checks.
 
 The incomplete gamma and the Takagi factor wrap SciPy (``special.gammaincc``
 and ``linalg.sqrtm``); this module adds their input and reconstruction checks.
+Each imports its SciPy module on first call, so importing cvlearn (and the
+CLI's sampling and estimation) loads no SciPy.
 
 All routines are pure; random sampling takes an explicit ``numpy.random.Generator``
 so Monte Carlo work can be distributed over independent streams.
@@ -14,15 +16,25 @@ from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError, NumericFailure
 
 DEFAULT_MATRIX_TOL = 1e-10
 
 
+def _is_nonnegative_int(value) -> bool:
+    """Whether value is an integer >= 0 (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Deterministic generator for (seed, stream); streams are independent."""
+    """Deterministic generator for (seed, stream); streams are independent.
+
+    Raises ``ValidationError`` unless seed and stream are integers >= 0.
+    """
+    if not (_is_nonnegative_int(seed) and _is_nonnegative_int(stream)):
+        raise ValidationError(
+            f"seed and stream must be integers >= 0, got seed={seed!r}, stream={stream!r}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
@@ -44,6 +56,8 @@ def regularized_upper_gamma(shape: float, x: float) -> float:
         raise ValidationError(f"shape must be > 0, got {shape}")
     if x < 0:
         raise ValidationError(f"x must be >= 0, got {x}")
+    from scipy import special  # imported here: it adds about 0.25 s to `import cvlearn`
+
     return float(special.gammaincc(shape, x))
 
 
@@ -52,9 +66,9 @@ def regularized_upper_gamma(shape: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def check_mode_count(n: int):
-    """Raises ``ValidationError`` unless the mode count n is at least 1."""
-    if n < 1:
-        raise ValidationError(f"mode count n must be >= 1, got {n}")
+    """Raises ``ValidationError`` unless the mode count n is an integer >= 1."""
+    if not (_is_nonnegative_int(n) and n >= 1):
+        raise ValidationError(f"mode count n must be an integer >= 1, got {n!r}")
 
 
 def _as_square_matrix(m) -> np.ndarray:

@@ -138,6 +138,13 @@ class TestLambdaFromState:
         assert np.max(np.abs(conj_vals - np.conj(vals))) < 1e-12
         assert complex(np.asarray(rep.spec.lam(np.zeros((1, 1))))[0]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("sets, points_per_set", [(0, 5), (-1, 5), (3, 0)])
+    def test_no_bochner_check_is_rejected(self, sets, points_per_set):
+        # with no check run, "spot checks passed" and an infinite minimum would be vacuous
+        st = make_thermal(1, 0.6)
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            lambda_from_state(st, 0.5, sets=sets, points_per_set=points_per_set)
+
 
 class TestFock1Counterexample:
     def test_negative_at_annulus_midpoint(self):

@@ -2,8 +2,10 @@
 and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +257,35 @@ class TestExitCodes:
         assert rc == 2
         assert "mode count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["sample", "--family", "thermal", "--nu", "0.5", "--scheme", "heterodyne",
+         "--count", "10", "--seed", "-1"],
+        ["oracle", "check", "--family", "thermal", "--nu", "0.5", "--seed", "-2"]])
+    def test_negative_seed_is_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(command + ["--out", str(out)]) == 2
+        assert "seed and stream must be integers >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option", [
+        (["bounds", "curve", "--axis", "kappa", "--families", "lb_ef,ub_bm,ub_hd",
+          "--grid-min", "0.5", "--grid-max", "1.0", "--epsilon", "0.1"], "--points"),
+        (["bounds", "curve", "--axis", "kappa", "--families", "ub_bm,ub_hd",
+          "--grid-min", "0.5", "--grid-max", "1.0", "--epsilon", "0.1"], "--m-points"),
+        (["state", "eval", "--family", "three-peak", "--nu", "0.6", "--eps0", "0.2",
+          "--gamma", "1"], "--grid"),
+        (["channel", "check", "--family", "thermal", "--nu", "0.6", "--r", "0.5"], "--sets")])
+    @pytest.mark.parametrize("value", ["0", "-1", "-2", "2.5", "x"])
+    def test_count_option_below_one_is_usage_error(self, tmp_path, capsys, command, option,
+                                                   value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(command + [option, value, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected an integer >= 1, got '{value}'" in err
+        assert not any(tmp_path.iterdir())
+
     def test_module_entrypoint(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "cvlearn.cli", "state", "classicality",
@@ -262,6 +293,85 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["s_max"] > 0
+
+
+# Runs in a fresh interpreter: the CLI round trips of both schemes, then the
+# three SciPy-backed routines, each of which imports SciPy on first call.
+COLD_START = """
+import json, sys
+import cvlearn, cvlearn.cli
+from cvlearn import fock_oracle, numerics, states
+
+for args in ROUND_TRIPS:
+    assert cvlearn.cli.main(args) == 0, args
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+u = numerics.random_symmetric_unitary(2, numerics.make_rng(5))
+v = numerics.takagi_decompose(u).v
+state = states.make_three_peak(1, 0.5, 0.2, [0.8])
+print(json.dumps({
+    "scipy_loaded": loaded,
+    "q": numerics.regularized_upper_gamma(2.5, 1.3),
+    "v": [[z.real, z.imag] for z in v.ravel().tolist()],
+    "oracle": fock_oracle.oracle_check(state, rng=numerics.make_rng(0)),
+}))
+"""
+
+
+def _round_trips(directory):
+    """CLI arguments for a Bell and a heterodyne sample -> estimate round trip."""
+    d = str(directory)
+    state = ["--family", "three-peak", "--nu", "0.6", "--eps0", "0.2", "--gamma", "1"]
+    return [
+        ["sample", *state, "--scheme", "bell", "--u-seed", "3", "--count", "2000",
+         "--seed", "11", "--out", f"{d}/bell.jsonl"],
+        ["estimate", "--record", f"{d}/bell.jsonl", "--points", f"{d}/pts.json",
+         "--scheme", "bell-chi2", "--epsilon", "0.2", "--out", f"{d}/bell_est.json"],
+        ["sample", *state, "--scheme", "heterodyne", "--count", "2000", "--seed", "12",
+         "--out", f"{d}/het.jsonl"],
+        ["estimate", "--record", f"{d}/het.jsonl", "--points", f"{d}/pts.json",
+         "--scheme", "heterodyne", "--out", f"{d}/het_est.json"],
+    ]
+
+
+class TestColdStart:
+    def test_cli_round_trips_load_no_scipy(self, tmp_path):
+        import cvlearn
+        from cvlearn import fock_oracle
+        from cvlearn.numerics import regularized_upper_gamma, takagi_decompose
+
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        for d in (cold, warm):
+            d.mkdir()
+            (d / "pts.json").write_text(json.dumps([[{"re": 0.5, "im": 0.25}],
+                                                    [{"re": -1.0, "im": 0.0}]]))
+        src = str(Path(cvlearn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        script = f"ROUND_TRIPS = {_round_trips(cold)!r}\n" + COLD_START
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["scipy_loaded"] == []
+
+        # the same commands in this process, where SciPy is loaded, write the same bytes
+        for args in _round_trips(warm):
+            assert main(args) == 0
+        for name in ("bell.jsonl", "het.jsonl"):
+            assert (cold / name).read_bytes() == (warm / name).read_bytes()
+        for name in ("bell_est.json", "het_est.json"):
+            assert json.loads((cold / name).read_text())["estimates"] \
+                == json.loads((warm / name).read_text())["estimates"]
+
+        # first calls in the fresh interpreter import SciPy and give the usual values
+        assert got["q"] == regularized_upper_gamma(2.5, 1.3)
+        v = takagi_decompose(random_symmetric_unitary(2, make_rng(5))).v
+        assert np.allclose(np.array([complex(*z) for z in got["v"]]).reshape(2, 2), v,
+                           rtol=0, atol=1e-14)
+        want = fock_oracle.oracle_check(make_three_peak(1, 0.5, 0.2, [0.8]), rng=make_rng(0))
+        assert got["oracle"]["cutoff"] == want["cutoff"]
+        assert got["oracle"] == pytest.approx(want, rel=1e-9, abs=1e-14)
+        assert got["oracle"]["char_max_abs_error"] < 1e-6
+        assert got["oracle"]["min_eigenvalue"] >= -1e-9
 
 
 class TestInputErrors:
@@ -414,6 +524,18 @@ class TestInputErrors:
                "copies": 10, "trials": 2, key: value}
         assert self._game(tmp_path, cfg) == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_record_mode_count_below_one_is_2(self, tmp_path, capsys, n):
+        rec, pts = self._record_and_points(tmp_path)
+        lines = rec.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["n"] = n
+        rec.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "heterodyne", "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+        assert "validation error" in capsys.readouterr().err
 
     def test_game_config_without_n_is_2(self, tmp_path, capsys):
         cfg = {"family": "three_peak", "nu": 0.9, "eps0": 0.25, "kappa": 2.0,

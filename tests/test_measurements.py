@@ -509,3 +509,9 @@ class TestRecordChecks:
         with pytest.raises(ValidationError, match="finite"):
             MeasurementRecord(scheme="heterodyne", outcomes=np.array([0.5, bad]),
                               state_descriptor={}, seed=0, n=1)
+
+    @pytest.mark.parametrize("n", [0, -1, 1.0, True])
+    def test_mode_count_below_one_or_not_integer_rejected(self, n):
+        with pytest.raises(ValidationError, match="mode count n must be an integer >= 1"):
+            MeasurementRecord(scheme="heterodyne", outcomes=np.array([0.5, 0.25j]),
+                              state_descriptor={}, seed=0, n=n)

@@ -176,6 +176,16 @@ class TestComplexGaussian:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (1.5, 0), (True, 0), ("3", 0),
+                                              (1, -1), (1, False), (1, 2.0)])
+    def test_make_rng_rejects_bad_seed_or_stream(self, seed, stream):
+        with pytest.raises(ValidationError, match="seed and stream must be integers >= 0"):
+            make_rng(seed, stream)
+
+    def test_make_rng_accepts_numpy_integers(self):
+        a = make_rng(np.int64(7), stream=np.uint32(2)).standard_normal(4)
+        assert np.array_equal(a, make_rng(7, stream=2).standard_normal(4))
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             sample_complex_gaussian(1, -1.0, 5, make_rng(0))
