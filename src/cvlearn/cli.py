@@ -24,7 +24,8 @@ from .errors import NumericFailure, ValidationError
 from .estimators import estimate_record
 from .game import GameConfig, run_game
 from .measurements import MeasurementRecord, sample_bell, sample_heterodyne
-from .numerics import SymmetricUnitary, check_mode_count, make_rng, random_symmetric_unitary
+from .numerics import (SymmetricUnitary, check_int, check_mode_count, make_rng,
+                       random_symmetric_unitary)
 from .states import (
     PeakState,
     bell_partner,
@@ -100,9 +101,9 @@ def _unitary(spec, n: int, what: str) -> SymmetricUnitary:
         return SymmetricUnitary(matrix=np.eye(n))
     if isinstance(spec, list):
         return SymmetricUnitary(matrix=_complex_rows(spec, what))
-    seed = spec.get("seed") if isinstance(spec, dict) and spec.keys() == {"seed"} else None
-    if isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0:
-        return random_symmetric_unitary(n, make_rng(seed))
+    if isinstance(spec, dict) and spec.keys() == {"seed"}:
+        check_int(spec["seed"], f"the seed k in {what}")
+        return random_symmetric_unitary(n, make_rng(spec["seed"]))
     raise ValidationError(
         f"{what} must be a list of rows of {{re, im}} objects or "
         f'{{"seed": k}} with an integer k >= 0, got {spec!r}')

@@ -5,12 +5,12 @@ modes, so every closed-form evaluator in `states` can be validated against an
 independent numerical route. Validation support only; dimensions are capped
 accordingly.
 
-The dense work is factored by mode. A displacement is `D1(a1) x D2(a2)` and
-the thermal filter is `F x F` with `F = diag(nu^m)`, so `build_state` forms
-the small per-mode factors `(1-nu^2) F D(-g) F` and, at two modes, gets
-`rho = sum_k w_k A_k x B_k` from one matrix product; `char_trace` and
-`wigner_parity` trace a batch of products of one-mode operators through one
-routine, with one product against one reordering of `rho`.
+The work is factored by mode. A displacement is `D1(a1) x D2(a2)` and the
+thermal filter is `F x F` with `F = diag(nu^m)`, so `build_state` forms the
+per-mode factors `A_ki = (1-nu^2) F D(-g_ki) F`, keeps them, and gets
+`rho = sum_k w_k (x)_i A_ki` from one matrix product; `char_trace`,
+`wigner_parity` and `husimi` trace products of one-mode operators O_i as
+`sum_k w_k prod_i Tr[A_ki O_i]`, without touching `rho`.
 The filter also leaves most rows negligible, so `min_eigenvalue` certifies a
 lower bound on the spectrum from the rows that carry weight.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,11 +33,20 @@ _DROP_TOL = 1e-13   # spectral-norm budget for the rows min_eigenvalue leaves ou
 
 @dataclass(frozen=True)
 class FockMatrix:
-    """Dense operator on the truncated n-mode Fock space (cutoff levels per mode)."""
+    """Dense operator on the truncated n-mode Fock space (cutoff levels per mode),
+    equal to `sum_k weights[k] (x)_i factors[i, k]` with factors (n, k, cutoff,
+    cutoff); a one-mode matrix given without factors is its own single term."""
 
     n: int
     cutoff: int
     data: np.ndarray
+    weights: np.ndarray | None = None
+    factors: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.factors is None and self.n == 1:
+            object.__setattr__(self, "weights", np.ones(1))
+            object.__setattr__(self, "factors", self.data.reshape(1, 1, self.cutoff, self.cutoff))
 
     @property
     def dim(self) -> int:
@@ -133,15 +142,6 @@ def _number_diag(n: int, cutoff: int) -> np.ndarray:
     return diag
 
 
-def _swap_middle(m: np.ndarray, cutoff: int) -> np.ndarray:
-    """A two-mode matrix indexed (a,b),(c,d) as a new one indexed (a,c),(b,d).
-
-    The reordering is its own inverse.
-    """
-    c = cutoff
-    return m.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c * c, c * c)
-
-
 def _max_antihermitian(m: np.ndarray) -> float:
     """max |m - m^H|, taken over row blocks against the matching column blocks.
 
@@ -167,7 +167,7 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
     _check_shape(state.n, cutoff)
     k = len(state.weights)
     filt = state.nu ** np.arange(cutoff, dtype=float)
-    factors = _displacements_1mode(-state.centers.T, cutoff)
+    factors = _displacements_1mode(-state.centers.T, cutoff).reshape(state.n, k, cutoff, cutoff)
     factors *= (1.0 - state.nu ** 2) * np.outer(filt, filt)
     flat = factors.reshape(state.n, k, cutoff * cutoff)
     if state.n == 1:
@@ -175,7 +175,7 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
     else:
         # sum_k w_k A_k[a,c] B_k[b,d], indexed (a,c),(b,d), then reordered to (a,b),(c,d)
         ac_bd = (state.weights[:, None] * flat[0]).T @ flat[1]
-        rho = _swap_middle(ac_bd, cutoff)
+        rho = ac_bd.reshape((cutoff,) * 4).transpose(0, 2, 1, 3).reshape(cutoff ** 2, -1)
     trace_err = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
     if trace_err > 1e-8:
         raise ValidationError(
@@ -184,7 +184,7 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
     herm_err = _max_antihermitian(rho)
     if herm_err > 1e-10:
         raise NumericFailure(f"oracle state not Hermitian: {herm_err:.2e}")
-    return FockMatrix(n=state.n, cutoff=cutoff, data=rho)
+    return FockMatrix(state.n, cutoff, rho, weights=state.weights, factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +194,9 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
 def _mode_trace(fm: FockMatrix, points, mode_ops):
     """Tr[rho (O(p_1) x ... x O(p_n))] at one point (n,), as a complex, or at a
     batch (m, n); `mode_ops(values, cutoff)` stacks the one-mode operators O.
-    At two modes Tr[rho (O1 x O2)] = sum_{a,c} O1[c,a] (R' vec(O2^T))[(a,c)],
-    with R' the reordering of rho indexed (a,c),(b,d), so a block of points
-    costs one matrix product.
+    With rho = sum_k w_k (x)_i A_ki this is sum_k w_k prod_i Tr[A_ki O(p_i)],
+    and Tr[A O] = vec(A^T) . vec(O), so each mode of a block of points costs
+    one (k, C^2) @ (C^2, points) product.
     """
     points = np.asarray(points, dtype=complex)
     single = points.ndim < 2
@@ -205,22 +205,19 @@ def _mode_trace(fm: FockMatrix, points, mode_ops):
         raise ValidationError(
             f"oracle points must have shape (n,) or (m, n) with n = {fm.n}, "
             f"got {points.shape}")
+    if fm.factors is None:
+        raise ValidationError(
+            f"a {fm.n}-mode FockMatrix traces only through the factors build_state keeps")
     cutoff = fm.cutoff
-
-    def transposed(values):
-        # row j is O(values[j])^T flattened, so entry (a, c) holds <c|O|a>
-        return mode_ops(values, cutoff).transpose(0, 2, 1).reshape(len(values), -1)
-
-    if fm.n == 2:
-        r_t = _swap_middle(fm.data, cutoff).T
+    a_t = fm.factors.transpose(0, 1, 3, 2).reshape(fm.n, len(fm.weights), -1)
     # blocks of points keep the operator stacks near 2^20 entries
     block = max(1, (1 << 20) // cutoff ** 2)
     out = np.empty(len(batch), dtype=complex)
     for s in range(0, len(batch), block):
         pts = batch[s:s + block]
-        # one mode pairs O^T with rho itself; two modes contract O2 first
-        rows = fm.data.reshape(1, -1) if fm.n == 1 else transposed(pts[:, 1]) @ r_t
-        out[s:s + block] = np.sum(transposed(pts[:, 0]) * rows, axis=1)
+        terms = np.prod([a_t[i] @ mode_ops(pts[:, i], cutoff).reshape(len(pts), -1).T
+                         for i in range(fm.n)], axis=0)
+        out[s:s + block] = fm.weights @ terms
     return complex(out[0]) if single else out
 
 
@@ -233,11 +230,13 @@ def mean_photon_trace(fm: FockMatrix) -> float:
     return float(np.real(np.sum(np.diag(fm.data) * _number_diag(fm.n, fm.cutoff))))
 
 
-def husimi(fm: FockMatrix, zeta) -> float:
-    """<zeta|rho|zeta> / pi^n, the heterodyne outcome density, with |zeta> the
-    product of the one-mode coherent states D(zeta_i)|0>."""
-    v = reduce(np.kron, _displacements_1mode(zeta, fm.cutoff)[:, :, 0])
-    return float(np.real(np.conj(v) @ fm.data @ v)) / math.pi ** fm.n
+def husimi(fm: FockMatrix, zeta):
+    """<zeta|rho|zeta> / pi^n, the heterodyne outcome density, at one point (n,)
+    or a batch (m, n); |zeta> is the product of the coherent states D(zeta_i)|0>."""
+    def projectors(zetas, cutoff):   # |zeta><zeta| with |zeta> = D(zeta)|0>
+        v = _displacements_1mode(zetas, cutoff)[:, :, 0]
+        return v[:, :, None] * v[:, None, :].conj()
+    return _mode_trace(fm, zeta, projectors).real / math.pi ** fm.n
 
 
 def wigner_parity(fm: FockMatrix, beta):

@@ -21,6 +21,7 @@ from .estimators import chi_heterodyne_means, chi_squared_means
 from .measurements import SignedGaussianMixture, peak_mixtures, validate_bell_pair
 from .numerics import (
     SymmetricUnitary,
+    check_int,
     make_rng,
     regularized_upper_gamma,
     sample_complex_gaussian,
@@ -58,11 +59,7 @@ class GameConfig:
             raise ValidationError(f"bob must be one of {STRATEGIES}")
         for key, low in (("n", 1), ("copies", 1), ("trials", 1), ("seed", 0),
                          ("tvd_gamma_draws", 1), ("tvd_mc_samples", 1)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{key} must be an integer, got {value!r}")
-            if value < low:
-                raise ValidationError(f"{key} must be >= {low}, got {value}")
+            check_int(getattr(self, key), key, low)
         if not set(self.order) <= {"o", "r"} or not self.order:
             raise ValidationError("order must be a nonempty string over {o, r}")
         if self.u is None:
@@ -231,7 +228,7 @@ def _copy_blocks(cfg: GameConfig, weights: np.ndarray, centers: np.ndarray):
     Returns one list of blocks [(mixture, count, estimate)] per member.
     `estimate(outcomes, gamma)` is the block's estimator (chi^2 for Bell, chi
     for heterodyne) at the revealed gamma, as a length-1 array.
-    Bell pairs the state with `bell_partner`, its conjugate.
+    Bell pairs the state with `bell_partner`, its peaks at gamma*.
     Heterodyne measures the `o` copies of `order` as they are and the `r`
     copies reflected; a reflected copy's chi at U gamma* equals chi at gamma.
     Only blocks with copies are built; each block is one `peak_mixtures` call.

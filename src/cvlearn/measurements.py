@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, NumericFailure
-from .numerics import check_mode_count, make_rng
-from .states import (PeakState, char_fn, family_runs, filter_variances, hermitian_partners,
-                     merge_family, s_ordered_peaks)
+from .numerics import check_int, check_mode_count, make_rng
+from .states import (PeakState, char_fn, family_runs, filter_a, filter_variances,
+                     hermitian_partners, merge_family, s_ordered_peaks)
 
 ENVELOPE_GUARD = {np.float64: 1e-9, np.float32: 3e-6}
 PAIR_TOL = 1e-10    # |f_j + f_partner| and |Im Q| allowed by Hermitian pairing
@@ -234,8 +234,7 @@ def peak_mixtures(scheme: str, nu: float, weights, centers) -> list[SignedGaussi
     if m > FAMILY_CHUNK:   # bounds the (members, terms, terms, n) merge temporaries
         return [mix for start in range(0, m, FAMILY_CHUNK)
                 for mix in peak_mixtures(scheme, nu, weights, centers[start:start + FAMILY_CHUNK])]
-    sig2, Sig2 = filter_variances(nu)
-    a = 0.5 / sig2 + 0.5 / Sig2
+    sig2, a = filter_variances(nu)[0], filter_a(nu)
     out = [None] * m
     for run, w, g in merge_family(np.broadcast_to(weights, (m, k)), centers, drop=1e-15):
         if scheme == "heterodyne":
@@ -312,6 +311,7 @@ class MeasurementRecord:
         if self.scheme not in ("bell", "heterodyne"):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         check_mode_count(self.n)
+        check_int(self.seed, "record seed")   # as read_jsonl checks it on the way back
         self.outcomes = np.asarray(self.outcomes, dtype=complex).reshape(-1, self.n)
         if self.outcomes.shape[0] < 1:
             raise ValidationError("measurement record must hold at least one outcome")
@@ -343,7 +343,9 @@ class MeasurementRecord:
         try:
             header = json.loads(header_line)
             scheme = header["scheme"]
-            n, count, seed = (int(header[k]) for k in ("n", "count", "seed"))
+            n, count, seed = (header[k] for k in ("n", "count", "seed"))
+            for key, value, low in (("n", n, 1), ("count", count, 1), ("seed", seed, 0)):
+                check_int(value, f"record header {key}", low)
             # every line must hold exactly one flat array, as one json.loads
             # per line would demand: a row split over lines, or two arrays on
             # one line, would still parse once the lines are joined

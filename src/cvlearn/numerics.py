@@ -22,9 +22,16 @@ from .errors import ValidationError, NumericFailure
 DEFAULT_MATRIX_TOL = 1e-10
 
 
-def _is_nonnegative_int(value) -> bool:
-    """Whether value is an integer >= 0 (a bool is not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+def _is_int(value, low: int = 0) -> bool:
+    """Whether value is an integer >= low (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
+def check_int(value, name: str, low: int = 0):
+    """Raises ``ValidationError`` naming `name` unless value is an integer >= low;
+    a float (even 2.0), a string or a bool is not one, so JSON is read as written."""
+    if not _is_int(value, low):
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -32,7 +39,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Raises ``ValidationError`` unless seed and stream are integers >= 0.
     """
-    if not (_is_nonnegative_int(seed) and _is_nonnegative_int(stream)):
+    if not (_is_int(seed) and _is_int(stream)):
         raise ValidationError(
             f"seed and stream must be integers >= 0, got seed={seed!r}, stream={stream!r}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
@@ -67,8 +74,7 @@ def regularized_upper_gamma(shape: float, x: float) -> float:
 
 def check_mode_count(n: int):
     """Raises ``ValidationError`` unless the mode count n is an integer >= 1."""
-    if not (_is_nonnegative_int(n) and n >= 1):
-        raise ValidationError(f"mode count n must be an integer >= 1, got {n!r}")
+    check_int(n, "mode count n", 1)
 
 
 def _as_square_matrix(m) -> np.ndarray:

@@ -46,6 +46,12 @@ def filter_variances(nu: float) -> tuple[float, float]:
     return 0.5 * (1.0 / nu - nu), (1.0 + nu) / (1.0 - nu)
 
 
+def filter_a(nu: float) -> float:
+    """a = 1/(2 sigma^2) + 1/(2 Sigma^2), the peaks' Gaussian decay rate; its one copy."""
+    sig2, Sig2 = filter_variances(nu)
+    return 0.5 / sig2 + 0.5 / Sig2
+
+
 @dataclass(frozen=True)
 class PeakState:
     """Immutable n-mode peak state; evaluators below are pure functions."""
@@ -93,7 +99,7 @@ class PeakState:
 
     @property
     def a(self) -> float:
-        return 0.5 / self.sigma2 + 0.5 / self.Sigma2
+        return filter_a(self.nu)
 
     def thermal_reference(self) -> "PeakState":
         """The gamma = 0 member of the family (same nu)."""
@@ -130,7 +136,8 @@ class PeakState:
     @staticmethod
     def from_json_dict(d: dict) -> "PeakState":
         try:
-            n = int(d["n"])
+            n = d["n"]
+            check_mode_count(n)
             nu = float(d["nu"])
             raw = d["peaks"]
             weights = np.array([p["w_re"] + 1j * p["w_im"] for p in raw], dtype=complex)
@@ -302,7 +309,9 @@ def bell_partner(state: PeakState, u: SymmetricUnitary) -> PeakState:
     """The second Bell-measurement input: the reflected state sent through the circuit.
 
     Reflection maps gamma to U^T gamma* and the circuit maps that to
-    U* U^T gamma* = gamma*, so for every U the partner is the conjugate state.
+    U* U^T gamma* = gamma*, so for every U the partner has the centers gamma*
+    and the same weights: it is `reflect(state, I)`. It is not the complex
+    conjugate state rho*, which is `reflect(state, -I)`.
     """
     if u.n != state.n:
         raise ValidationError("reflection unitary dimension mismatch")
@@ -358,8 +367,7 @@ def s_ordered_peaks(nu: float, s: float, weights, centers):
     f = gamma* / (t sigma^2), `.` the unconjugated dot product. Takes one
     peak list (weights (k,), centers (k, n)) or a stack (..., k) / (..., k, n).
     """
-    sig2, Sig2 = filter_variances(nu)
-    a = 0.5 / sig2 + 0.5 / Sig2
+    sig2, a = filter_variances(nu)[0], filter_a(nu)
     t = a - 0.5 * s
     abs2_g = np.sum(np.abs(centers) ** 2, axis=-1)
     amps = weights * _clamped_exp((1.0 / (4.0 * t * sig2 ** 2) - a) * abs2_g)

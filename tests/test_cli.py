@@ -525,6 +525,30 @@ class TestInputErrors:
         assert self._game(tmp_path, cfg) == 2
         assert f"{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("n", 1.5), ("n", True), ("count", 2.9),
+                                            ("count", 2.0), ("seed", 2.7), ("seed", "3")])
+    def test_non_integer_record_header_field_is_2(self, tmp_path, capsys, key, value):
+        rec, pts = self._record_and_points(tmp_path)
+        lines = rec.read_text().splitlines(keepends=True)
+        header = {**json.loads(lines[0]), key: value}
+        rec.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        out = tmp_path / "e.json"
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "heterodyne", "--out", str(out)])
+        assert rc == 2
+        assert f"record header {key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_state_mode_count_is_2(self, tmp_path, capsys):
+        d = make_three_peak(1, 0.5, 0.2, np.array([0.8])).to_json_dict()
+        d["n"] = 1.7
+        spath = tmp_path / "st.json"
+        spath.write_text(json.dumps(d))
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", "check", "--state", str(spath), "--out", str(out)]) == 2
+        assert "mode count n must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_record_mode_count_below_one_is_2(self, tmp_path, capsys, n):
         rec, pts = self._record_and_points(tmp_path)

@@ -25,8 +25,9 @@ from cvlearn.fock_oracle import (
     petz_d2_closed_form,
     wigner_parity,
 )
-from cvlearn.numerics import make_rng, random_symmetric_unitary
+from cvlearn.numerics import SymmetricUnitary, make_rng, random_symmetric_unitary
 from cvlearn.states import (
+    bell_partner,
     char_fn,
     fock1_char,
     make_five_peak,
@@ -307,6 +308,42 @@ class TestHusimiWigner:
         expect = wigner(st, betas.reshape(-1, 1))
         assert np.max(np.abs(vals - expect)) < 1e-4
 
+    @pytest.mark.parametrize("state", factored_cases(),
+                             ids=lambda st: f"n{st.n}-k{len(st.weights)}")
+    def test_wigner_and_husimi_match_dense_traces(self, state):
+        # dense references: D(beta) P D^dag(beta) and D(zeta)|0> on the whole space
+        fm = build_state(state)
+        rng = make_rng(22)
+        pts = 1.2 * (rng.normal(size=(5, state.n)) + 1j * rng.normal(size=(5, state.n)))
+        parity = np.diag((-1.0) ** np.arange(fm.cutoff))
+        for _ in range(state.n - 1):
+            parity = np.kron(parity, np.diag((-1.0) ** np.arange(fm.cutoff)))
+        wig, hus = wigner_parity(fm, pts), husimi(fm, pts)
+        for p, w, h in zip(pts, wig, hus):
+            d = displacement_matrix(p, fm.cutoff).data
+            dense_w = (2 / math.pi) ** state.n * np.sum(fm.data.T * (d @ parity @ d.conj().T))
+            v = d[:, 0]
+            dense_h = (v.conj() @ fm.data @ v) / math.pi ** state.n
+            assert abs(w - dense_w) < 1e-12 and abs(h - dense_h) < 1e-12
+
+    def test_husimi_batch_matches_points(self):
+        for st in _benchmark_oracle_states(1):
+            fm = build_state(st)
+            pts = make_rng(23).normal(size=(7, 2)) + 1j * make_rng(24).normal(size=(7, 2))
+            batch = husimi(fm, pts)
+            assert batch.shape == (7,) and batch.dtype == float
+            for p, h in zip(pts, batch):
+                one = husimi(fm, p)
+                assert type(one) is float and abs(one - h) < 1e-15
+
+    @pytest.mark.parametrize("trace", [char_trace, wigner_parity, husimi])
+    def test_two_mode_matrix_without_factors_is_rejected(self, trace):
+        # a dense two-mode matrix has no product terms to trace
+        fm = build_state(_benchmark_oracle_states(1)[0])
+        dense = FockMatrix(n=2, cutoff=fm.cutoff, data=fm.data)
+        with pytest.raises(ValidationError, match="factors"):
+            trace(dense, np.zeros(2, dtype=complex))
+
     def test_fock1_char_oracle(self):
         cutoff = 40
         rho1 = np.zeros((cutoff, cutoff), dtype=complex)
@@ -360,6 +397,26 @@ class TestPetzD2:
             d2 = petz_d2_closed_form(st)
             assert d2 <= math.log2(1 + 8 * 0.25 ** 2) + 1e-15
             assert d2 <= 8.0 / math.log(2) * 0.25 ** 2
+
+
+class TestConjugateState:
+    """The complex conjugate state rho* is the reflection with U = -I; the Bell
+    partner is the reflection with U = I."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reflection_by_minus_identity_is_rho_conjugate(self, n):
+        rng = make_rng(30 + n)
+        g = 0.9 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        u = random_symmetric_unitary(n, rng)
+        minus_i = SymmetricUnitary(matrix=-np.eye(n))
+        for st in (make_three_peak(n, 0.5, 0.2, g), make_five_peak(n, 0.5, 0.2, g, u)):
+            cutoff = default_cutoff(st)
+            rho = build_state(st, cutoff).data
+            conj = build_state(reflect(st, minus_i), cutoff).data
+            assert np.max(np.abs(conj - np.conj(rho))) <= 1e-14
+            partner = bell_partner(st, u)
+            assert partner.peak_multiset_equal(reflect(st, SymmetricUnitary(matrix=np.eye(n))))
+            assert np.max(np.abs(build_state(partner, cutoff).data - np.conj(rho))) > 1e-2
 
 
 def test_oracle_check_summary():

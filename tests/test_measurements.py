@@ -446,6 +446,22 @@ class TestRecordChecks:
         with pytest.raises(ValidationError, match="1000 outcomes but 499"):
             MeasurementRecord.read_jsonl(path)
 
+    @pytest.mark.parametrize("key, value", [("n", 1.5), ("n", True), ("count", 2.9),
+                                            ("count", 2.0), ("seed", 2.7), ("seed", "3")])
+    def test_non_integer_header_field_rejected(self, tmp_path, key, value):
+        # read as written, not truncated by int()
+        path = tmp_path / "rec.jsonl"
+        self._write(path, {**self._header(), key: value}, [[0.1, 0.2]] * 4)
+        with pytest.raises(ValidationError, match=f"record header {key} must be an integer"):
+            MeasurementRecord.read_jsonl(path)
+
+    @pytest.mark.parametrize("seed", [2.7, 3.0, "3", True, -1])
+    def test_record_seed_must_be_an_integer(self, seed):
+        # a record that write_jsonl could write but read_jsonl would refuse
+        with pytest.raises(ValidationError, match="record seed must be an integer"):
+            MeasurementRecord(scheme="heterodyne", outcomes=np.array([0.5, 0.25j]),
+                              state_descriptor={}, seed=seed, n=1)
+
     @pytest.mark.parametrize("key", ["seed", "n", "scheme", "count"])
     def test_missing_header_key_rejected(self, tmp_path, key):
         path = tmp_path / "rec.jsonl"

@@ -577,6 +577,14 @@ class TestJson:
         with pytest.raises(ValidationError):
             PeakState.from_json(json.dumps({"n": 1, "nu": 0.5}))
 
+    @pytest.mark.parametrize("n", [1.7, 1.0, True, "1"])
+    def test_non_integer_mode_count_rejected(self, n):
+        # read as written, not truncated by int()
+        d = make_three_peak(1, 0.5, 0.2, np.array([0.7])).to_json_dict()
+        d["n"] = n
+        with pytest.raises(ValidationError, match="mode count n must be an integer"):
+            PeakState.from_json_dict(d)
+
     def test_center_length_mismatch_rejected(self):
         d = make_three_peak(1, 0.5, 0.2, np.array([0.7])).to_json_dict()
         d["n"] = 2
