@@ -27,6 +27,7 @@ from .states import (PeakState, char_fn, family_runs, filter_a, filter_variances
 ENVELOPE_GUARD = {np.float64: 1e-9, np.float32: 3e-6}
 PAIR_TOL = 1e-10    # |f_j + f_partner| and |Im Q| allowed by Hermitian pairing
 FAMILY_CHUNK = 256  # members built at once by peak_mixtures
+SAMPLE_BLOCK = 1 << 16  # proposal rows bracketed, tested and compacted at once by sample
 
 
 def phase_matrix(freqs) -> np.ndarray:
@@ -97,7 +98,16 @@ class SignedGaussianMixture:
     # -- sampling -----------------------------------------------------------
     def sample(self, count: int, rng: np.random.Generator,
                dtype=np.float64) -> np.ndarray:
-        """Exact draws by rejection against the oscillation-free envelope."""
+        """Exact draws by rejection against the oscillation-free envelope.
+
+        Each batch draws all its `re` normals, then all its `im` normals, then
+        one uniform per proposal in proposal order, so the stream does not
+        depend on SAMPLE_BLOCK. Memory: the output and the batch's proposals
+        `re` / `im` are O(count); scaling, the bracket, the envelope guard,
+        the uniforms and the compaction run over row blocks of SAMPLE_BLOCK
+        proposals, so everything else is O(SAMPLE_BLOCK). Every block of a
+        batch is guarded and draws its uniforms, also once the output is full.
+        """
         if count < 1:
             raise ValidationError(f"count must be >= 1, got {count}")
         dt = np.dtype(dtype).type
@@ -106,35 +116,38 @@ class SignedGaussianMixture:
         guard = ENVELOPE_GUARD[dt]
         scale = dt(np.sqrt(self.variance))
         inv_mass = dt(1.0 / self.envelope_mass)
-        out = np.empty((count, self.n),
-                       dtype=np.complex64 if dtype == np.float32 else complex)
-        parts = out.view(dtype).reshape(count, self.n, 2)   # [..., 0] real, [..., 1] imag
+        out = np.empty((count, self.n), dtype=np.complex64 if dt is np.float32 else complex)
+        parts = out.view(dt).reshape(count, self.n, 2)   # [..., 0] real, [..., 1] imag
         filled = 0
         # Envelope mass bounds the expected trials per accepted sample.
         batch = max(2048, min(int(1.2 * count * self.envelope_mass), 4_000_000))
-        re = np.empty((batch, self.n), dtype=dtype)
-        im = np.empty((batch, self.n), dtype=dtype)
-        u = np.empty(batch, dtype=dtype)
+        re = np.empty((batch, self.n), dtype=dt)
+        im = np.empty((batch, self.n), dtype=dt)
+        u = np.empty(min(batch, SAMPLE_BLOCK), dtype=dt)
         while filled < count:
-            rng.standard_normal(out=re, dtype=dtype)
-            rng.standard_normal(out=im, dtype=dtype)
-            re *= scale
-            im *= scale
-            ratio = self._bracket(re, im)
-            ratio *= inv_mass
-            if np.max(ratio) > 1.0 + guard:
-                raise NumericFailure(
-                    f"rejection envelope violated: ratio {np.max(ratio)} > 1; "
-                    "the proposal no longer dominates the density")
-            rng.random(out=u, dtype=dtype)
-            idx = np.flatnonzero(u < ratio)[:count - filled]
-            take = len(idx)
-            # Compact the accepted rows straight into `out`; idx < batch, so
-            # mode="clip" never clips, and unlike "raise" it needs no buffer.
-            np.take(re, idx, axis=0, out=parts[filled:filled + take, :, 0], mode="clip")
-            np.take(im, idx, axis=0, out=parts[filled:filled + take, :, 1], mode="clip")
-            filled += take
-        return out.astype(complex, copy=False) if dtype == np.float64 else out
+            rng.standard_normal(out=re, dtype=dt)
+            rng.standard_normal(out=im, dtype=dt)
+            for start in range(0, batch, SAMPLE_BLOCK):
+                re_b = re[start:start + SAMPLE_BLOCK]
+                im_b = im[start:start + SAMPLE_BLOCK]
+                re_b *= scale
+                im_b *= scale
+                ratio = self._bracket(re_b, im_b)
+                ratio *= inv_mass
+                if np.max(ratio) > 1.0 + guard:
+                    raise NumericFailure(
+                        f"rejection envelope violated: ratio {np.max(ratio)} > 1; "
+                        "the proposal no longer dominates the density")
+                u_b = u[:len(ratio)]
+                rng.random(out=u_b, dtype=dt)
+                idx = np.flatnonzero(u_b < ratio)[:count - filled]
+                take = len(idx)
+                # Compact the accepted rows straight into `out`; idx < len(re_b),
+                # so mode="clip" never clips, and unlike "raise" it needs no buffer.
+                np.take(re_b, idx, axis=0, out=parts[filled:filled + take, :, 0], mode="clip")
+                np.take(im_b, idx, axis=0, out=parts[filled:filled + take, :, 1], mode="clip")
+                filled += take
+        return out
 
 
 def mixture_family(n: int, variance: float, freqs, coefs) -> list[SignedGaussianMixture]:

@@ -6,6 +6,7 @@ for the closed-form mixtures; Monte Carlo moments check the samplers.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from cvlearn.errors import ValidationError, NumericFailure
 from cvlearn.fock_oracle import build_state, husimi
 from cvlearn.measurements import (
+    ENVELOPE_GUARD,
+    SAMPLE_BLOCK,
     MeasurementRecord,
     SignedGaussianMixture,
     bell_density,
@@ -212,6 +215,76 @@ class TestSampleStream:
         want, batches = reference_sample(mix, count, make_rng(62), np.float32)
         assert batches == 2
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scheme", ["bell", "heterodyne"])
+    def test_matches_reference_loop_across_blocks(self, dtype, scheme):
+        # One batch spans several SAMPLE_BLOCK row blocks and ends in a partial one.
+        mix = self.mixture(scheme, 2)
+        count = 150_000
+        batch = max(2048, min(int(1.2 * count * mix.envelope_mass), 4_000_000))
+        assert batch > 2 * SAMPLE_BLOCK and batch % SAMPLE_BLOCK
+        got = mix.sample(count, make_rng(63), dtype=dtype)
+        want, batches = reference_sample(mix, count, make_rng(63), dtype)
+        assert batches == 1
+        assert np.array_equal(got, want)
+
+
+def traced_excess(mix, count):
+    """Peak memory traced while `sample` runs, above its output and proposals."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = mix.sample(count, make_rng(64), dtype=np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batch = max(2048, min(int(1.2 * count * mix.envelope_mass), 4_000_000))
+    return peak - base - out.nbytes - 2 * batch * mix.n * np.dtype(np.float32).itemsize
+
+
+class TestSampleBlocks:
+    def test_memory_beyond_output_and_proposals_is_bounded(self):
+        # NumPy reports its buffers to tracemalloc; only the output and the
+        # batch's re / im may grow with the count.
+        st = make_three_peak(3, 0.75, 0.25, np.full(3, 0.9 + 0.4j))
+        mix = bell_mixture(st, bell_partner(st, random_symmetric_unitary(3, make_rng(63))))
+        for count in [200_000, 800_000]:
+            assert traced_excess(mix, count) <= 4 * 2 ** 20
+
+    def test_guard_checks_blocks_drawn_after_the_output_is_full(self):
+        # Thermal: ratio 1, so every proposal is accepted and the output is
+        # full before the batch's last block, whose ratio alone is corrupted.
+        mix = heterodyne_mixture(make_thermal(1, 0.5))
+        count = 110_000
+        batch = int(1.2 * count * mix.envelope_mass)
+        blocks = -(-batch // SAMPLE_BLOCK)
+        assert count <= (blocks - 1) * SAMPLE_BLOCK
+        bracket, calls = mix._bracket, []
+
+        def corrupt_last_block(re, im):
+            out = bracket(re, im)
+            calls.append(len(out))
+            if len(calls) == blocks:
+                out[-1] = (1.0 + 10 * ENVELOPE_GUARD[np.float64]) * mix.envelope_mass
+            return out
+
+        mix._bracket = corrupt_last_block
+        with pytest.raises(NumericFailure, match="envelope"):
+            mix.sample(count, make_rng(65))
+        assert sum(calls) == batch
+
+    def test_dtype_given_by_name_or_dtype_object(self):
+        mix = heterodyne_mixture(make_three_peak(2, 0.6, 0.2, np.array([0.8, -0.3j])))
+        draws = [mix.sample(500, make_rng(66), dtype=d)
+                 for d in ["float32", np.dtype("float32"), np.float32]]
+        assert all(z.dtype == np.complex64 and z.shape == (500, 2) for z in draws)
+        assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
+        wide = mix.sample(500, make_rng(66), dtype="float64")
+        assert wide.dtype == np.complex128
+        assert np.array_equal(wide, mix.sample(500, make_rng(66), dtype=np.float64))
+        with pytest.raises(ValidationError, match="float32 or float64"):
+            mix.sample(10, make_rng(0), dtype="int32")
 
 
 class TestHeterodyne:
