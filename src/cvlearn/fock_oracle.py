@@ -1,25 +1,27 @@
 """Brute-force truncated Fock-basis oracle.
 
-Builds dense matrices for peak states and displacement operators at 1-2
-modes, so every closed-form evaluator in `states` can be validated against an
-independent numerical route. Validation support only; dimensions are capped
-accordingly.
+Represents peak states and displacement operators at 1-2 modes in the
+truncated Fock basis, so every closed-form evaluator in `states` can be
+validated against an independent numerical route. Validation support only;
+dimensions are capped accordingly.
 
 The work is factored by mode. A displacement is `D1(a1) x D2(a2)` and the
 thermal filter is `F x F` with `F = diag(nu^m)`, so `build_state` forms the
-per-mode factors `A_ki = (1-nu^2) F D(-g_ki) F`, keeps them, and gets
-`rho = sum_k w_k (x)_i A_ki` from one matrix product; `char_trace`,
-`wigner_parity` and `husimi` trace products of one-mode operators O_i as
-`sum_k w_k prod_i Tr[A_ki O_i]`, without touching `rho`.
-The filter also leaves most rows negligible, so `min_eigenvalue` certifies a
-lower bound on the spectrum from the rows that carry weight.
+per-mode factors `A_ki = (1-nu^2) F D(-g_ki) F` and keeps them as
+`rho = sum_k w_k (x)_i A_ki`. The dense `rho` is formed only when `.data` is
+read. `char_trace`, `wigner_parity` and `husimi` trace products of one-mode
+operators O_i as `sum_k w_k prod_i Tr[A_ki O_i]`; the trace, the mean photon
+number and `petz_d2` come from per-mode traces too. The passes that need all
+of rho's entries (the Hermiticity guard and `min_eigenvalue`'s row masses)
+form its rows from the factors a block at a time. The filter leaves most rows
+negligible, so `min_eigenvalue` certifies a lower bound on the spectrum from
+the rows that carry weight, gathered into one small block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,30 +29,42 @@ from .errors import ValidationError, NumericFailure
 from .states import PeakState, char_fn, mean_photon, three_peak_plus
 
 MAX_MODES = 2
-MAX_DIM = 4096      # one dense complex copy is then <= 256 MiB; the oracle holds several
+MAX_DIM = 4096      # a dense `data`, formed only on request, is then <= 256 MiB
 _DROP_TOL = 1e-13   # spectral-norm budget for the rows min_eigenvalue leaves out
+_ROW_BLOCK = 1 << 17   # entries of rho that one `_row_blocks` step forms
 
 
-@dataclass(frozen=True)
 class FockMatrix:
-    """Dense operator on the truncated n-mode Fock space (cutoff levels per mode),
+    """Operator on the truncated n-mode Fock space (cutoff levels per mode),
     equal to `sum_k weights[k] (x)_i factors[i, k]` with factors (n, k, cutoff,
-    cutoff); a one-mode matrix given without factors is its own single term."""
+    cutoff). Given the factors, the dense `data` is formed from them on first
+    access and kept. Given `data` alone, a one-mode matrix is its own single
+    term and a two-mode one has no factors."""
 
-    n: int
-    cutoff: int
-    data: np.ndarray
-    weights: np.ndarray | None = None
-    factors: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.factors is None and self.n == 1:
-            object.__setattr__(self, "weights", np.ones(1))
-            object.__setattr__(self, "factors", self.data.reshape(1, 1, self.cutoff, self.cutoff))
+    def __init__(self, n: int, cutoff: int, data: np.ndarray | None = None,
+                 weights: np.ndarray | None = None, factors: np.ndarray | None = None):
+        if data is None and factors is None:
+            raise ValidationError("a FockMatrix needs its dense data or its factors")
+        self.n, self.cutoff = n, cutoff
+        if data is not None:
+            self.data = data
+            if factors is None and n == 1:
+                weights, factors = np.ones(1), data.reshape(1, 1, cutoff, cutoff)
+        self.weights, self.factors = weights, factors
 
     @property
     def dim(self) -> int:
         return self.cutoff ** self.n
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The dense matrix, summed from the factors by one matrix product."""
+        flat = self.factors.reshape(self.n, len(self.weights), self.cutoff ** 2)
+        if self.n == 1:
+            return (self.weights @ flat[0]).reshape(self.cutoff, self.cutoff)
+        # sum_k w_k A_k[a,c] B_k[b,d], indexed (a,c),(b,d), then reordered to (a,b),(c,d)
+        ac_bd = (self.weights[:, None] * flat[0]).T @ flat[1]
+        return ac_bd.reshape((self.cutoff,) * 4).transpose(0, 2, 1, 3).reshape(self.dim, -1)
 
 
 def default_cutoff(state: PeakState) -> int:
@@ -143,7 +157,8 @@ def _number_diag(n: int, cutoff: int) -> np.ndarray:
 
 
 def _max_antihermitian(m: np.ndarray) -> float:
-    """max |m - m^H|, taken over row blocks against the matching column blocks.
+    """max |m - m^H| of a dense matrix, taken over row blocks against the
+    matching column blocks; the reference for `_antihermitian_error`.
 
     Block s compares rows s:s+block, from column s on, with the conjugate of
     the columns s:s+block, so every pair (i, j) is met and no temporary grows
@@ -156,8 +171,63 @@ def _max_antihermitian(m: np.ndarray) -> float:
     return err
 
 
+def _row_blocks(fm: FockMatrix):
+    """Yield (a0, block): rho's rows a leading-mode index range at a time,
+    about _ROW_BLOCK entries each, as block[a, c, b, d] = rho[(a0 + a, b), (c, d)]
+    with (b, d) the indices of the other mode.
+
+    From the factors, with R_k the other mode's factor, rho[(a,b),(c,d)] =
+    sum_k w_k A_k[a,c] R_k[b,d] is one (rows, k) @ (k, C_R^2) product that
+    comes out in exactly that order. Without factors the block is a transposed
+    view of `data`'s rows. Blocks are complex128 with their last axis contiguous.
+    """
+    cutoff, per_a = fm.cutoff, fm.dim // fm.cutoff   # rows, and columns, per leading index
+    step = max(1, _ROW_BLOCK // (per_a * fm.dim))
+    if fm.factors is None:
+        for a in range(0, cutoff, step):
+            rows = np.ascontiguousarray(fm.data[a * per_a:(a + step) * per_a], dtype=complex)
+            yield a, rows.reshape(-1, per_a, cutoff, per_a).transpose(0, 2, 1, 3)
+        return
+    k = len(fm.weights)
+    lead = np.asarray(fm.weights[:, None, None] * fm.factors[0], dtype=complex)
+    rest = fm.factors[1].reshape(k, -1) if fm.n == 2 else np.ones((k, 1))
+    for a in range(0, cutoff, step):
+        yield a, (lead[:, a:a + step].reshape(k, -1).T @ rest).reshape(-1, cutoff, per_a, per_a)
+
+
+def _antihermitian_error(fm: FockMatrix) -> float:
+    """max |rho - rho^H| over every entry, through the row blocks of the
+    factored M = rho - rho^H = sum_k [w_k (x)_i A_ki - conj(w_k) (x)_i A_ki^H].
+
+    |M_ij| = |M_ji|, so a block of leading row indices from a on is read only
+    in the columns whose leading index is a or more; as in `_max_antihermitian`,
+    every pair (i, j) is still met.
+    """
+    diff = FockMatrix(fm.n, fm.cutoff, weights=np.concatenate([fm.weights, -np.conj(fm.weights)]),
+                      factors=np.concatenate([fm.factors, np.conj(fm.factors).swapaxes(2, 3)],
+                                             axis=1))
+    return max(float(np.max(np.abs(block[:, a:]))) for a, block in _row_blocks(diff))
+
+
+def _traces(fm: FockMatrix) -> tuple[complex, complex]:
+    """(Tr rho, Tr[rho N]), N the total photon number, from per-mode traces.
+
+    With t_ki = Tr A_ki and m_ki = Tr[A_ki n], Tr rho = sum_k w_k prod_i t_ki,
+    and N = sum_i n_i gives Tr[rho N] = sum_k w_k sum_i m_ki prod_{j != i} t_kj.
+    A two-mode matrix without factors reads its diagonal.
+    """
+    if fm.factors is None:
+        diag = np.diagonal(fm.data)
+        return complex(diag.sum()), complex(diag @ _number_diag(fm.n, fm.cutoff))
+    diag = np.diagonal(fm.factors, axis1=2, axis2=3)
+    t, m = diag.sum(axis=2), diag @ np.arange(fm.cutoff, dtype=float)
+    photons = sum(m[i] * np.prod(np.delete(t, i, axis=0), axis=0) for i in range(fm.n))
+    return complex(fm.weights @ np.prod(t, axis=0)), complex(fm.weights @ photons)
+
+
 def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
-    """Dense density matrix (1-nu^2)^n nu^N (sum_k w_k D^dag(gamma_k)) nu^N.
+    """Density matrix (1-nu^2)^n nu^N (sum_k w_k D^dag(gamma_k)) nu^N, kept as
+    its per-mode factors; the dense `data` is formed on first access.
 
     Each term factors by mode: (1-nu^2) F D(-g_{k,i}) F with F = diag(nu^m),
     since D^dag(g) = D(-g) = D1(-g1) x D2(-g2).
@@ -169,22 +239,17 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
     filt = state.nu ** np.arange(cutoff, dtype=float)
     factors = _displacements_1mode(-state.centers.T, cutoff).reshape(state.n, k, cutoff, cutoff)
     factors *= (1.0 - state.nu ** 2) * np.outer(filt, filt)
-    flat = factors.reshape(state.n, k, cutoff * cutoff)
-    if state.n == 1:
-        rho = (state.weights @ flat[0]).reshape(cutoff, cutoff)
-    else:
-        # sum_k w_k A_k[a,c] B_k[b,d], indexed (a,c),(b,d), then reordered to (a,b),(c,d)
-        ac_bd = (state.weights[:, None] * flat[0]).T @ flat[1]
-        rho = ac_bd.reshape((cutoff,) * 4).transpose(0, 2, 1, 3).reshape(cutoff ** 2, -1)
-    trace_err = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+    fm = FockMatrix(state.n, cutoff, weights=state.weights, factors=factors)
+    trace = _traces(fm)[0]
+    trace_err = abs(trace.real - 1.0) + abs(trace.imag)
     if trace_err > 1e-8:
         raise ValidationError(
             f"cutoff {cutoff} too small: |Tr rho - 1| = {trace_err:.2e}; "
             f"suggested cutoff >= {default_cutoff(state)}")
-    herm_err = _max_antihermitian(rho)
+    herm_err = _antihermitian_error(fm)
     if herm_err > 1e-10:
         raise NumericFailure(f"oracle state not Hermitian: {herm_err:.2e}")
-    return FockMatrix(state.n, cutoff, rho, weights=state.weights, factors=factors)
+    return fm
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +292,7 @@ def char_trace(fm: FockMatrix, alpha):
 
 
 def mean_photon_trace(fm: FockMatrix) -> float:
-    return float(np.real(np.sum(np.diag(fm.data) * _number_diag(fm.n, fm.cutoff))))
+    return _traces(fm)[1].real
 
 
 def husimi(fm: FockMatrix, zeta):
@@ -248,7 +313,45 @@ def wigner_parity(fm: FockMatrix, beta):
     return (2.0 / math.pi) ** fm.n * _mode_trace(fm, beta, parities).real
 
 
-def min_eigenvalue(fm: FockMatrix) -> float:
+class EigenvalueBound(float):
+    """`min_eigenvalue`'s value, with what certified it: `kept_rows`, the rows
+    that reached `eigvalsh`, and `dropped_norm_bound`, the subtracted
+    sqrt(2 sum_D), 0 when no row was dropped."""
+
+    def __new__(cls, value: float, kept_rows: int, dropped_norm_bound: float):
+        self = super().__new__(cls, value)
+        self.kept_rows, self.dropped_norm_bound = kept_rows, dropped_norm_bound
+        return self
+
+
+def _masses(fm: FockMatrix) -> np.ndarray:
+    """max(|rho row|^2, |rho column|^2) for every row, over rho's row blocks."""
+    row_mass = np.empty((fm.cutoff, fm.dim // fm.cutoff))
+    col_mass = np.zeros_like(row_mass)
+    for a, block in _row_blocks(fm):
+        v = block.view(np.float64)      # |z|^2 = re^2 + im^2, no temporary
+        row_mass[a:a + len(v)] = np.einsum("acbd,acbd->ab", v, v)
+        col_mass += np.einsum("acbd,acbd->cd", v, v).reshape(col_mass.shape + (2,)).sum(axis=2)
+    return np.maximum(row_mass, col_mass).reshape(-1)
+
+
+def _kept_block(fm: FockMatrix, keep: np.ndarray) -> np.ndarray:
+    """rho[keep][:, keep] for sorted `keep`, from a second pass over the row blocks."""
+    lead, other = np.divmod(keep, fm.dim // fm.cutoff)
+    out = np.empty((len(keep), len(keep)), dtype=complex)
+    filled = 0
+    for a, block in _row_blocks(fm):
+        rows = (lead >= a) & (lead < a + len(block))
+        if rows.any():
+            kept = block[lead[rows] - a, :, other[rows], :].reshape(int(rows.sum()), -1)
+            out[filled:filled + len(kept)] = kept[:, keep]
+            filled += len(kept)
+            if filled == len(keep):
+                break
+    return out
+
+
+def min_eigenvalue(fm: FockMatrix) -> EigenvalueBound:
     """A certified lower bound on the smallest eigenvalue of h = (rho + rho^H)/2,
     within _DROP_TOL of it.
 
@@ -261,22 +364,26 @@ def min_eigenvalue(fm: FockMatrix) -> float:
     and Cauchy interlacing gives lam_min(h) <= lam_KK. The value returned never
     exceeds lam_min(h), up to `eigvalsh`'s own rounding; when no row can be
     dropped it is the full spectrum's minimum.
+
+    Both squared norms are summed over rho's row blocks, and h_KK is gathered
+    from a second pass over them, so rho is never formed whole. The value
+    carries `kept_rows` and `dropped_norm_bound` (see `EigenvalueBound`).
     """
-    rho = fm.data
-    sq = np.abs(rho)
-    sq *= sq
-    mass = np.maximum(sq.sum(axis=1), sq.sum(axis=0))
-    del sq
+    mass = _masses(fm)
     order = np.argsort(mass)
     cum = np.cumsum(mass[order])
     # at least one row is kept, so the block is never empty
     n_drop = min(int(np.searchsorted(cum, 0.5 * _DROP_TOL ** 2, side="right")), len(cum) - 1)
     keep = np.sort(order[n_drop:])
-    block = rho[np.ix_(keep, keep)]
-    lam = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
+    # h_KK = (block + block^H) / 2, assembled in place
+    h = _kept_block(fm, keep)
+    h += h.conj().T
+    h *= 0.5
+    lam = float(np.linalg.eigvalsh(h)[0])
     if n_drop == 0:
-        return lam
-    return min(lam, 0.0) - math.sqrt(2.0 * cum[n_drop - 1])
+        return EigenvalueBound(lam, len(keep), 0.0)
+    dropped = math.sqrt(2.0 * cum[n_drop - 1])
+    return EigenvalueBound(min(lam, 0.0) - dropped, len(keep), dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +413,14 @@ def petz_d2(state_gamma: PeakState, state_thermal: PeakState,
     if len(state_thermal.weights) != 1:
         raise ValidationError("second argument must be the thermal (gamma = 0) member")
     rho = build_state(state_gamma, cutoff)
-    inv_diag = 1.0 / ((1.0 - state_thermal.nu ** 2) ** state_thermal.n
-                      * state_thermal.nu ** (2.0 * _number_diag(rho.n, rho.cutoff)))
-    # Tr[rho F^-1 rho] = sum_{i,j} rho[i,j] F^-1[j] rho[j,i], elementwise
-    val = np.real(np.sum(rho.data * (inv_diag[:, None] * rho.data).T))
+    nu = state_thermal.nu
+    inv_diag = 1.0 / ((1.0 - nu ** 2) * nu ** (2.0 * np.arange(rho.cutoff, dtype=float)))
+    # Tr[rho F^-1 rho] = sum_{k,l} w_k w_l prod_i Tr[A_ki F_i^-1 A_li], with F^-1
+    # = (x)_i F_i^-1 diagonal and Tr[A F_i^-1 B] = vec(A F_i^-1) . vec(B^T)
+    k = len(rho.weights)
+    pair = np.prod([(f * inv_diag).reshape(k, -1) @ f.transpose(0, 2, 1).reshape(k, -1).T
+                    for f in rho.factors], axis=0)
+    val = np.real(rho.weights @ pair @ rho.weights)
     numeric = math.log2(max(val, 1e-300))
     closed = petz_d2_closed_form(state_gamma)
     if abs(numeric - closed) > mismatch_tol:
@@ -331,10 +442,15 @@ def oracle_check(state: PeakState, cutoff: int | None = None,
     pts = (rng.normal(size=(20, state.n)) + 1j * rng.normal(size=(20, state.n)))
     closed = char_fn(state, pts)
     numeric = char_trace(fm, pts)
+    trace, photons = _traces(fm)
+    lam = min_eigenvalue(fm)
     return {
         "cutoff": fm.cutoff,
-        "trace_error": float(abs(np.trace(fm.data) - 1.0)),
-        "min_eigenvalue": min_eigenvalue(fm),
+        "trace_error": float(abs(trace - 1.0)),
+        "min_eigenvalue": float(lam),
         "char_max_abs_error": float(np.max(np.abs(closed - numeric))),
-        "mean_photon_error": float(abs(mean_photon_trace(fm) - mean_photon(state))),
+        "mean_photon_error": float(abs(photons.real - mean_photon(state))),
+        "dim": fm.dim,
+        "kept_rows": lam.kept_rows,
+        "dropped_norm_bound": lam.dropped_norm_bound,
     }

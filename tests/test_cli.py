@@ -219,6 +219,18 @@ class TestBoundsGameChannelOracle:
         assert payload["char_max_abs_error"] < 1e-6
         assert payload["min_eigenvalue"] >= -1e-9
 
+    def test_oracle_check_says_what_it_checked(self, tmp_path):
+        out = tmp_path / "oracle.json"
+        rc = main(["oracle", "check", "--family", "five-peak", "--n", "2", "--nu", "0.5",
+                   "--eps0", "0.2", "--gamma", "0.8+0.4i,-0.5i", "--u-seed", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["dim"] == payload["cutoff"] ** 2
+        assert 0 < payload["kept_rows"] <= payload["dim"]
+        assert 0.0 <= payload["dropped_norm_bound"] <= 1e-13
+        assert payload["min_eigenvalue"] >= -1e-9
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path):

@@ -3,14 +3,17 @@ independent identities (coherent expansions, composition law, closed forms)
 before the rest of the suite leans on it."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from cvlearn.errors import ValidationError
+from cvlearn import fock_oracle
+from cvlearn.errors import NumericFailure, ValidationError
 from cvlearn.fock_oracle import (
     FockMatrix,
+    _antihermitian_error,
     _displacements_1mode,
     _max_antihermitian,
     build_state,
@@ -499,3 +502,113 @@ class TestCertifiedMinEigenvalue:
         data = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         fm = FockMatrix(n=1, cutoff=8, data=data)
         assert min_eigenvalue(fm) == np.linalg.eigvalsh(0.5 * (data + data.conj().T))[0]
+
+
+class TestStreamedOracle:
+    """oracle_check works from the factors and rho's row blocks; the dense
+    `data` is the reference."""
+
+    def test_oracle_check_traced_peak_is_bounded(self):
+        # a dense dim-1296 rho alone is 26.9 MB
+        for st in _benchmark_oracle_states(1):
+            oracle_check(st)                      # tables and imports are warm
+            tracemalloc.start()
+            try:
+                rep = oracle_check(st)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep["dim"] == 1296
+            assert peak <= 8 * 2 ** 20
+
+    def test_oracle_pass_leaves_dense_matrix_unformed(self):
+        st = _benchmark_oracle_states(7)[1]
+        fm = build_state(st)
+        min_eigenvalue(fm)
+        mean_photon_trace(fm)
+        char_trace(fm, np.zeros(2))
+        assert "data" not in vars(fm)
+        assert fm.data is fm.data
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_report_matches_dense_reference(self, seed):
+        for st in _benchmark_oracle_states(seed):
+            rep = oracle_check(st)
+            fm = build_state(st)
+            dense = min_eigenvalue(FockMatrix(n=fm.n, cutoff=fm.cutoff, data=fm.data))
+            assert abs(rep["min_eigenvalue"] - dense) <= 1e-15
+            assert rep["dim"] == fm.dim == 1296
+            assert rep["kept_rows"] == dense.kept_rows <= rep["dim"]
+            assert rep["dropped_norm_bound"] == pytest.approx(dense.dropped_norm_bound, abs=1e-15)
+            assert 0.0 < rep["dropped_norm_bound"] <= 1e-13
+            assert rep["trace_error"] == pytest.approx(abs(np.trace(fm.data) - 1.0), abs=2e-16)
+            number = np.add.outer(np.arange(fm.cutoff), np.arange(fm.cutoff)).ravel()
+            photons = np.real(np.sum(np.diag(fm.data) * number))
+            assert mean_photon_trace(fm) == pytest.approx(photons, abs=1e-15)
+
+    @pytest.mark.parametrize("fm", _sweep_states(), ids=lambda fm: f"n{fm.n}-c{fm.cutoff}")
+    def test_streamed_min_eigenvalue_matches_dense(self, fm):
+        dense = min_eigenvalue(FockMatrix(n=fm.n, cutoff=fm.cutoff, data=fm.data))
+        got = min_eigenvalue(fm)
+        assert abs(got - dense) <= 1e-15
+        assert got.kept_rows == dense.kept_rows
+
+    def test_no_dropped_row_reports_zero_bound(self):
+        data = make_rng(25).normal(size=(8, 8)).astype(complex)
+        lam = min_eigenvalue(FockMatrix(n=1, cutoff=8, data=data))
+        assert lam.kept_rows == 8 and lam.dropped_norm_bound == 0.0
+
+    def test_streamed_hermitian_error_matches_dense(self):
+        fm = build_state(_benchmark_oracle_states(1)[1])
+        assert abs(_antihermitian_error(fm) - _max_antihermitian(fm.data)) <= 1e-15
+        factors = fm.factors.copy()
+        factors[0, 1, 0, 1] += 1e-6
+        factors[1, 2, 3, 0] -= 2e-7j
+        skewed = FockMatrix(n=2, cutoff=fm.cutoff, weights=fm.weights, factors=factors)
+        err = _antihermitian_error(skewed)
+        assert err > 1e-8
+        assert abs(err - _max_antihermitian(skewed.data)) <= 1e-15
+
+    def test_build_state_hermitian_guard_raises(self, monkeypatch):
+        real = fock_oracle._displacements_1mode
+
+        def skewed(alphas, cutoff):
+            d = real(alphas, cutoff)
+            d[..., 0, 1] += 1e-6              # off the diagonal, so the trace holds
+            return d
+
+        monkeypatch.setattr(fock_oracle, "_displacements_1mode", skewed)
+        with pytest.raises(NumericFailure, match="not Hermitian"):
+            build_state(_benchmark_oracle_states(1)[0])
+
+    def test_two_mode_matrix_without_factors_reads_its_diagonal(self):
+        fm = build_state(_benchmark_oracle_states(1)[0])
+        dense = FockMatrix(n=2, cutoff=fm.cutoff, data=fm.data)
+        assert mean_photon_trace(dense) == pytest.approx(mean_photon_trace(fm), abs=1e-15)
+
+
+def _elementwise_petz_value(st, th, cutoff=None):
+    """Tr[rho F^-1 rho] summed elementwise over the dense rho."""
+    rho = build_state(st, cutoff)
+    k = np.arange(rho.cutoff, dtype=float)
+    number = k
+    for _ in range(st.n - 1):
+        number = np.add.outer(number, k).ravel()
+    inv_diag = 1.0 / ((1.0 - th.nu ** 2) ** th.n * th.nu ** (2.0 * number))
+    return np.real(np.sum(rho.data * (inv_diag[:, None] * rho.data).T))
+
+
+class TestFactoredPetz:
+    @pytest.mark.parametrize("n, nu, gamma", [(1, 0.5, [1.2]), (1, 0.6, [0.4 - 0.9j]),
+                                              (2, 0.5, [0.6 - 0.5j, 0.4j]),
+                                              (2, 0.4, [1.0, -0.3 + 0.2j])])
+    def test_matches_elementwise_sum(self, n, nu, gamma):
+        st, th = make_three_peak(n, nu, 0.2, np.array(gamma)), make_thermal(n, nu)
+        numeric, _ = petz_d2(st, th, mismatch_tol=1e-4)
+        ref = _elementwise_petz_value(st, th)
+        assert 2.0 ** numeric == pytest.approx(ref, rel=1e-12)
+
+    def test_mismatch_still_raises(self):
+        st = make_three_peak(2, 0.5, 0.2, np.array([0.6 - 0.5j, 0.4j]))
+        with pytest.raises(NumericFailure, match="Petz D2 mismatch"):
+            petz_d2(st, make_thermal(2, 0.5), mismatch_tol=1e-15)
