@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimators import chi_heterodyne_means, chi_squared_means
-from .measurements import SignedGaussianMixture, peak_mixtures, validate_bell_pair
+from .measurements import (SignedGaussianMixture, pair_log_values, peak_mixtures,
+                           validate_bell_pair)
 from .numerics import (
     SymmetricUnitary,
     check_int,
@@ -184,8 +185,11 @@ def tvd_pair(density0, density_mixture, n_copies: int, gamma_draws,
     (mixture, count) when copies differ); `density_mixture` maps gamma to the
     matching (plus, minus) structure. Outcomes are drawn from the null and the
     likelihood ratio is accumulated in log space; returns (tvd, stderr) with
-    the spread taken across gamma draws.
+    the spread taken across gamma draws. `pair_log_values` evaluates each
+    (plus, minus) pair, so a +-gamma pair shares its phasors.
     """
+    if len(gamma_draws) < 1:
+        raise ValidationError("tvd_pair needs at least one gamma draw")
     blocks0 = _as_blocks(density0, n_copies)
     per_gamma = []
     for gamma in gamma_draws:
@@ -196,11 +200,12 @@ def tvd_pair(density0, density_mixture, n_copies: int, gamma_draws,
         log_plus = np.zeros(mc_samples)
         log_minus = np.zeros(mc_samples)
         for (mix0, count), ((mix_p, mix_m), _) in zip(blocks0, pm_blocks):
-            z = mix0.sample(mc_samples * count, rng).reshape(mc_samples, count, -1)
-            flat = z.reshape(mc_samples * count, -1)
-            l0 = mix0.log_value(flat).reshape(mc_samples, count).sum(axis=1)
-            log_plus += mix_p.log_value(flat).reshape(mc_samples, count).sum(axis=1) - l0
-            log_minus += mix_m.log_value(flat).reshape(mc_samples, count).sum(axis=1) - l0
+            z = mix0.sample(mc_samples * count, rng)
+            l0 = mix0.log_value(z).reshape(mc_samples, count).sum(axis=1)
+            lp, lm = (lv.reshape(mc_samples, count).sum(axis=1)
+                      for lv in pair_log_values(mix_p, mix_m, z))
+            log_plus += lp - l0
+            log_minus += lm - l0
         ratio = 0.5 * (np.exp(log_plus) + np.exp(log_minus))
         per_gamma.append(float(np.mean(np.maximum(0.0, 1.0 - ratio))))
     per_gamma = np.asarray(per_gamma)

@@ -59,19 +59,26 @@ class SignedGaussianMixture:
                                               np.asarray(coefs, dtype=complex)[None])[0]))
 
     # -- evaluation ---------------------------------------------------------
-    def _bracket(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-        """x^T Q x at outcomes re + i im (each (m, n)), in their own dtype."""
+    def _phasors(self, re: np.ndarray, im: np.ndarray) -> list:
+        """x = [1, cos th_1, sin th_1, ...] at outcomes re + i im (each (m, n)), in their dtype.
+
+        x_0 = 1 never multiplies (terms with a = 0 are linear), so it is None.
+        """
         dt = re.dtype.type
-        out = np.full(re.shape[0], self._const, dtype=dt)
-        if not self._terms:
-            return out
+        x = [None]
+        if not self._phase.shape[1]:
+            return x
         phase = self._phase.astype(dt)
         theta = re @ phase[:self.n]
         theta += im @ phase[self.n:]
-        x = [None]   # x_0 = 1 never multiplies: terms with a = 0 are linear
         for col in theta.T:
             col = np.ascontiguousarray(col)
             x += [np.cos(col), np.sin(col)]
+        return x
+
+    def _fold(self, x: list, rows: int, dt) -> np.ndarray:
+        """x^T Q x over `rows` outcomes from their phasors x (`_phasors`), in dtype dt."""
+        out = np.full(rows, self._const, dtype=dt)
         for a, b, c in self._terms:
             term = dt(c) * x[b]
             if a:
@@ -79,21 +86,23 @@ class SignedGaussianMixture:
             out += term
         return out
 
-    def _log_gauss_and_bracket(self, zeta):
-        z = np.atleast_2d(np.asarray(zeta, dtype=complex))
-        log_gauss = (-np.sum(np.abs(z) ** 2, axis=1) / (2.0 * self.variance)
-                     - self.n * np.log(2.0 * np.pi * self.variance))
-        return log_gauss, self._bracket(z.real, z.imag)
+    def _bracket(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """x^T Q x at outcomes re + i im (each (m, n)), in their own dtype."""
+        return self._fold(self._phasors(re, im), re.shape[0], re.dtype.type)
+
+    def _log_gauss(self, z: np.ndarray) -> np.ndarray:
+        return (-np.sum(np.abs(z) ** 2, axis=1) / (2.0 * self.variance)
+                - self.n * np.log(2.0 * np.pi * self.variance))
 
     def value(self, zeta) -> np.ndarray:
         """Density values at a batch (m, n) of outcomes; real, >= -1e-9."""
-        log_gauss, bracket = self._log_gauss_and_bracket(zeta)
-        return np.exp(log_gauss) * bracket
+        z = np.atleast_2d(np.asarray(zeta, dtype=complex))
+        return np.exp(self._log_gauss(z)) * self._bracket(z.real, z.imag)
 
     def log_value(self, zeta) -> np.ndarray:
         """log density, stable for product accumulation over many copies."""
-        log_gauss, bracket = self._log_gauss_and_bracket(zeta)
-        return log_gauss + np.log(np.maximum(bracket, 1e-300))
+        z = np.atleast_2d(np.asarray(zeta, dtype=complex))
+        return _log_density(self._log_gauss(z), self._bracket(z.real, z.imag))
 
     # -- sampling -----------------------------------------------------------
     def sample(self, count: int, rng: np.random.Generator,
@@ -108,8 +117,7 @@ class SignedGaussianMixture:
         proposals, so everything else is O(SAMPLE_BLOCK). Every block of a
         batch is guarded and draws its uniforms, also once the output is full.
         """
-        if count < 1:
-            raise ValidationError(f"count must be >= 1, got {count}")
+        check_int(count, "count", 1)
         dt = np.dtype(dtype).type
         if dt not in ENVELOPE_GUARD:
             raise ValidationError(f"sampler dtype must be float32 or float64, got {dt.__name__}")
@@ -119,8 +127,10 @@ class SignedGaussianMixture:
         out = np.empty((count, self.n), dtype=np.complex64 if dt is np.float32 else complex)
         parts = out.view(dt).reshape(count, self.n, 2)   # [..., 0] real, [..., 1] imag
         filled = 0
-        # Envelope mass bounds the expected trials per accepted sample.
-        batch = max(2048, min(int(1.2 * count * self.envelope_mass), 4_000_000))
+        # Envelope mass bounds the expected trials per accepted sample; it is
+        # at least 1, so a batch holds at least one row, and a batch that
+        # accepts too few is topped up by another of the same size.
+        batch = min(int(1.2 * count * self.envelope_mass), 4_000_000)
         re = np.empty((batch, self.n), dtype=dt)
         im = np.empty((batch, self.n), dtype=dt)
         u = np.empty(min(batch, SAMPLE_BLOCK), dtype=dt)
@@ -148,6 +158,32 @@ class SignedGaussianMixture:
                 np.take(im_b, idx, axis=0, out=parts[filled:filled + take, :, 1], mode="clip")
                 filled += take
         return out
+
+
+def _log_density(log_gauss: np.ndarray, bracket: np.ndarray) -> np.ndarray:
+    return log_gauss + np.log(np.maximum(bracket, 1e-300))
+
+
+def pair_log_values(plus: SignedGaussianMixture, minus: SignedGaussianMixture, zeta):
+    """(plus.log_value(zeta), minus.log_value(zeta)), bit for bit, sharing their work.
+
+    When minus's phase map is exactly plus's negated, as for the states at
+    +gamma and -gamma of one peak layout, its angles are plus's negated exactly
+    (negation commutes with every rounding of the product), so it takes plus's
+    cosines and their sines negated. Equal variances share the Gaussian part.
+    Any other pair computes its own phasors.
+    """
+    z = np.atleast_2d(np.asarray(zeta, dtype=complex))
+    gauss = plus._log_gauss(z)
+    x = plus._phasors(z.real, z.imag)
+    if np.array_equal(minus._phase, -plus._phase):
+        x_minus = list(x)   # [None, cos th_1, sin th_1, ...]: negate every sin
+        x_minus[2::2] = [-sin for sin in x[2::2]]
+    else:
+        x_minus = minus._phasors(z.real, z.imag)
+    return (_log_density(gauss, plus._fold(x, len(z), np.float64)),
+            _log_density(gauss if minus.variance == plus.variance else minus._log_gauss(z),
+                         minus._fold(x_minus, len(z), np.float64)))
 
 
 def mixture_family(n: int, variance: float, freqs, coefs) -> list[SignedGaussianMixture]:

@@ -176,7 +176,7 @@ def reference_sample(mix, count, rng, dtype):
     the accepted rows built as re[idx] + 1j * im[idx]; also the batch count."""
     dt = np.dtype(dtype).type
     scale, inv_mass = dt(np.sqrt(mix.variance)), dt(1.0 / mix.envelope_mass)
-    batch = max(2048, min(int(1.2 * count * mix.envelope_mass), 4_000_000))
+    batch = min(int(1.2 * count * mix.envelope_mass), 4_000_000)
     rows, filled = [], 0
     while filled < count:
         re = rng.standard_normal((batch, mix.n), dtype=dtype) * scale
@@ -207,6 +207,20 @@ class TestSampleStream:
         assert got.shape == (5000, n)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scheme", ["bell", "heterodyne"])
+    @pytest.mark.parametrize("count", [1, 5, 50])
+    def test_matches_reference_loop_at_small_counts(self, dtype, scheme, count):
+        # A batch holds int(1.2 count mass) rows, with no floor; top-up batches
+        # of the same size fill what the first one leaves.
+        mix = self.mixture(scheme, 2)
+        got = mix.sample(count, make_rng(67, stream=count), dtype=dtype)
+        want, batches = reference_sample(mix, count, make_rng(67, stream=count), dtype)
+        assert got.shape == (count, 2)
+        assert np.array_equal(got, want)
+        if (scheme, count) == ("heterodyne", 5):   # on these streams the first batch falls short
+            assert batches == 2
+
     def test_matches_reference_loop_across_batches(self):
         # At the 4M-proposal cap a second batch fills the rest of the output.
         mix = self.mixture("bell", 1)
@@ -222,7 +236,7 @@ class TestSampleStream:
         # One batch spans several SAMPLE_BLOCK row blocks and ends in a partial one.
         mix = self.mixture(scheme, 2)
         count = 150_000
-        batch = max(2048, min(int(1.2 * count * mix.envelope_mass), 4_000_000))
+        batch = min(int(1.2 * count * mix.envelope_mass), 4_000_000)
         assert batch > 2 * SAMPLE_BLOCK and batch % SAMPLE_BLOCK
         got = mix.sample(count, make_rng(63), dtype=dtype)
         want, batches = reference_sample(mix, count, make_rng(63), dtype)
@@ -239,7 +253,7 @@ def traced_excess(mix, count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    batch = max(2048, min(int(1.2 * count * mix.envelope_mass), 4_000_000))
+    batch = min(int(1.2 * count * mix.envelope_mass), 4_000_000)
     return peak - base - out.nbytes - 2 * batch * mix.n * np.dtype(np.float32).itemsize
 
 
@@ -285,6 +299,12 @@ class TestSampleBlocks:
         assert np.array_equal(wide, mix.sample(500, make_rng(66), dtype=np.float64))
         with pytest.raises(ValidationError, match="float32 or float64"):
             mix.sample(10, make_rng(0), dtype="int32")
+
+    @pytest.mark.parametrize("count", [0, 2.5, True, "3"])
+    def test_count_must_be_a_positive_integer(self, count):
+        mix = heterodyne_mixture(make_thermal(1, 0.5))
+        with pytest.raises(ValidationError, match="count must be an integer >= 1"):
+            mix.sample(count, make_rng(0))
 
 
 class TestHeterodyne:
