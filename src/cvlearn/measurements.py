@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -375,43 +376,56 @@ class MeasurementRecord:
         header = {"scheme": self.scheme, "n": self.n, "seed": self.seed,
                   "count": self.count, "state_descriptor": self.state_descriptor}
         # %r is the float repr json.dumps writes, so each row reads as
-        # json.dumps([re_1, im_1, ..., re_n, im_n])
+        # json.dumps([re_1, im_1, ..., re_n, im_n]); one % over the repeated
+        # row template formats the whole body without a container per row
         template = "[" + ", ".join(["%r"] * (2 * self.n)) + "]\n"
-        rows = np.ascontiguousarray(self.outcomes).view(float).reshape(self.count, -1).tolist()
+        floats = tuple(np.ascontiguousarray(self.outcomes).view(float).ravel().tolist())
         with open(path, "w") as fh:
             fh.write(json.dumps(header) + "\n")
-            fh.write("".join([template % tuple(row) for row in rows]))
+            fh.write(template * self.count % floats)
 
     @staticmethod
     def read_jsonl(path) -> "MeasurementRecord":
-        """Load a record; the header must name scheme, n, seed and the row count."""
+        """Load a record; the header must name scheme, n, seed and the row count.
+
+        The header line is one JSON object. Every non-blank line after it
+        must be one flat JSON array of 2n numbers, [re_1, im_1, ..., re_n,
+        im_n]; whitespace around a line is ignored. The outcomes read back
+        bit for bit, signed zeros included.
+        """
         with open(path) as fh:
             header_line = fh.readline()
             lines = [line for line in map(str.strip, fh) if line]
-        body = ",".join(lines)
+        rows = len(lines)
+        text = "\n".join(lines)
         try:
             header = json.loads(header_line)
             scheme = header["scheme"]
             n, count, seed = (header[k] for k in ("n", "count", "seed"))
             for key, value, low in (("n", n, 1), ("count", count, 1), ("seed", seed, 0)):
                 check_int(value, f"record header {key}", low)
-            # every line must hold exactly one flat array, as one json.loads
-            # per line would demand: a row split over lines, or two arrays on
-            # one line, would still parse once the lines are joined
-            if not (body.count("[") == body.count("]") == len(lines)
-                    and all(line[0] == "[" and line[-1] == "]" for line in lines)):
-                raise ValueError("each row must be one JSON array on its own line")
-            rows = json.loads("[" + body + "]")
-            data = np.array(rows, dtype=float).reshape(len(rows), n, 2)
+            # every line must hold exactly one flat array of 2n values, as one
+            # json.loads per line would demand. With a "[" opening the text,
+            # a "]" closing it and every newline inside a "]\n[", each line
+            # opens and closes one array, and the bracket counts leave none
+            # inside it; the commas fix each line's width, which the total
+            # alone would not (rows of 3 and 1 values pass on their sum)
+            if rows and not (text[0] == "[" and text[-1] == "]"
+                             and text.count("[") == text.count("]") == rows
+                             == text.count("]\n[") + 1
+                             and set(map(str.count, lines, repeat(","))) == {2 * n - 1}):
+                raise ValueError(f"each row must be one JSON array of {2 * n} numbers "
+                                 "on its own line")
+            values = json.loads(text.replace("]\n[", ", ") or "[]")
+            data = np.array(values, dtype=float).reshape(rows, 2 * n)
         except KeyError as exc:
             raise ValidationError(f"record header lacks {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:   # overflow: int too big for float
             raise ValidationError(f"malformed measurement record {path}: {exc}") from exc
-        if len(rows) != count:
+        if rows != count:
             raise ValidationError(
-                f"record header says {count} outcomes but {len(rows)} rows follow")
-        outcomes = data[..., 0] + 1j * data[..., 1]
-        return MeasurementRecord(scheme=scheme, outcomes=outcomes,
+                f"record header says {count} outcomes but {rows} rows follow")
+        return MeasurementRecord(scheme=scheme, outcomes=data.view(complex),
                                  state_descriptor=header.get("state_descriptor", {}),
                                  seed=seed, n=n)
 

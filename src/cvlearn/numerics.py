@@ -166,8 +166,7 @@ def sample_complex_gaussian(n: int, variance: float, count: int,
     """
     if variance < 0:
         raise ValidationError(f"variance must be >= 0, got {variance}")
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    check_int(count, "count", 1)
     if variance == 0.0:
         return np.zeros((count, n), dtype=complex)
     scale = np.sqrt(variance)

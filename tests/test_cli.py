@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvlearn import cli
 from cvlearn.cli import main, parse_complex, parse_cvector
 from cvlearn.errors import ValidationError
 from cvlearn.measurements import MeasurementRecord
@@ -32,6 +33,15 @@ class TestComplexParsing:
     def test_bad_literal(self):
         with pytest.raises(ValidationError):
             parse_complex("one+i")
+
+
+class TestParser:
+    def test_main_builds_one_parser_per_process(self, tmp_path):
+        for _ in range(2):
+            assert main(["state", "classicality", "--nu", "0.5", "--eps0", "0.2",
+                         "--gamma", "0.8", "--out", str(tmp_path / "c.json")]) == 0
+        assert cli._parser.cache_info().misses == 1
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestStateCommands:

@@ -4,6 +4,7 @@ Quadrature of the defining integrals (n = 1) serves as the independent oracle
 for the closed-form mixtures; Monte Carlo moments check the samplers.
 """
 
+import gc
 import json
 import math
 import tracemalloc
@@ -624,3 +625,69 @@ class TestRecordChecks:
         with pytest.raises(ValidationError, match="mode count n must be an integer >= 1"):
             MeasurementRecord(scheme="heterodyne", outcomes=np.array([0.5, 0.25j]),
                               state_descriptor={}, seed=0, n=n)
+
+
+class TestRecordFormat:
+    """The reader's grammar: one flat JSON array of 2n numbers per non-blank line."""
+
+    def _write_body(self, path, body, n=1, count=2):
+        header = {"scheme": "heterodyne", "n": n, "seed": 3, "count": count}
+        with open(path, "w", newline="") as fh:   # keep "\r\n" as written
+            fh.write(json.dumps(header) + "\n" + body)
+
+    @pytest.mark.parametrize("body", ["[0.1, 0.2, 0.3]\n[0.4]\n", "[0.1]\n[0.2, 0.3, 0.4]\n"])
+    def test_ragged_rows_with_matching_total_rejected(self, tmp_path, body):
+        # four values over two rows is the right total at n=1, but no row has two
+        path = tmp_path / "rec.jsonl"
+        self._write_body(path, body)
+        with pytest.raises(ValidationError, match="malformed"):
+            MeasurementRecord.read_jsonl(path)
+
+    @pytest.mark.parametrize("body", ["", "\n\n  \n"])
+    def test_empty_body_reports_zero_rows(self, tmp_path, body):
+        path = tmp_path / "rec.jsonl"
+        self._write_body(path, body)
+        with pytest.raises(ValidationError, match="says 2 outcomes but 0 rows follow"):
+            MeasurementRecord.read_jsonl(path)
+
+    def test_blank_padded_and_crlf_lines_read(self, tmp_path):
+        path = tmp_path / "rec.jsonl"
+        body = "  [0.1, 0.2]  \r\n\r\n\t[ 0.3 ,0.4 ]\n\n[0.5, 0.6]\r\n[0.7, 0.8]"
+        self._write_body(path, body, count=4)
+        back = MeasurementRecord.read_jsonl(path)
+        assert np.array_equal(back.outcomes[:, 0],
+                              [0.1 + 0.2j, 0.3 + 0.4j, 0.5 + 0.6j, 0.7 + 0.8j])
+
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path):
+        path = tmp_path / "rec.jsonl"
+        self._write_body(path, "[1" + "0" * 400 + ", 0.2]\n[0.3, 0.4]\n")
+        with pytest.raises(ValidationError, match="malformed"):
+            MeasurementRecord.read_jsonl(path)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_round_trip_is_bit_exact_with_signed_zeros(self, tmp_path, n):
+        z = make_rng(12).normal(size=(40, 2 * n)).view(complex)
+        z[0, 0] = complex(-0.0, 0.5)
+        z[1, 0] = complex(0.3, -0.0)
+        z[2, -1] = complex(-0.0, -0.0)
+        rec = MeasurementRecord(scheme="heterodyne", outcomes=z, state_descriptor={},
+                                seed=1, n=n)
+        path = tmp_path / "rec.jsonl"
+        rec.write_jsonl(path)
+        written = np.array([json.loads(line) for line in path.read_text().splitlines()[1:]])
+        back = MeasurementRecord.read_jsonl(path).outcomes.view(float)
+        assert np.array_equal(back, written) and np.array_equal(written, z.view(float))
+        assert np.array_equal(np.signbit(back), np.signbit(written))
+        assert np.signbit(back[0, 0]) and np.signbit(back[1, 1]) and np.signbit(back[2, -2:]).all()
+
+    def test_large_round_trip_runs_no_young_collections(self, tmp_path):
+        # per-row lists or tuples would trigger dozens of generation-0 sweeps
+        z = make_rng(2).normal(size=(25_000, 4)).view(complex)
+        rec = MeasurementRecord(scheme="bell", outcomes=z, state_descriptor={}, seed=1, n=2)
+        path = tmp_path / "rec.jsonl"
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        rec.write_jsonl(path)
+        back = MeasurementRecord.read_jsonl(path)
+        assert gc.get_stats()[0]["collections"] - before <= 2
+        assert np.array_equal(back.outcomes, rec.outcomes)

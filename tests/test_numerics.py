@@ -169,6 +169,11 @@ class TestComplexGaussian:
         draws = sample_complex_gaussian(2, 0.0, 10, make_rng(9))
         assert np.all(draws == 0)
 
+    @pytest.mark.parametrize("count", [2.5, True, 0])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValidationError, match="count must be an integer >= 1"):
+            sample_complex_gaussian(1, 1.0, count, make_rng(9))
+
     def test_deterministic_given_seed_and_stream(self):
         a = sample_complex_gaussian(2, 1.3, 50, make_rng(42, stream=1))
         b = sample_complex_gaussian(2, 1.3, 50, make_rng(42, stream=1))
