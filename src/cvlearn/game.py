@@ -61,6 +61,8 @@ class GameConfig:
         for key, low in (("n", 1), ("copies", 1), ("trials", 1), ("seed", 0),
                          ("tvd_gamma_draws", 1), ("tvd_mc_samples", 1)):
             check_int(getattr(self, key), key, low)
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValidationError(f"kappa must be a finite number > 0, got {self.kappa!r}")
         if not set(self.order) <= {"o", "r"} or not self.order:
             raise ValidationError("order must be a nonempty string over {o, r}")
         if self.u is None:

@@ -28,7 +28,7 @@ from .states import (PeakState, char_fn, family_runs, filter_a, filter_variances
 ENVELOPE_GUARD = {np.float64: 1e-9, np.float32: 3e-6}
 PAIR_TOL = 1e-10    # |f_j + f_partner| and |Im Q| allowed by Hermitian pairing
 FAMILY_CHUNK = 256  # members built at once by peak_mixtures
-SAMPLE_BLOCK = 1 << 16  # proposal rows bracketed, tested and compacted at once by sample
+SAMPLE_BLOCK = 1 << 16  # largest block of proposal rows sample draws and tests at once
 
 
 def phase_matrix(freqs) -> np.ndarray:
@@ -110,13 +110,13 @@ class SignedGaussianMixture:
                dtype=np.float64) -> np.ndarray:
         """Exact draws by rejection against the oscillation-free envelope.
 
-        Each batch draws all its `re` normals, then all its `im` normals, then
-        one uniform per proposal in proposal order, so the stream does not
-        depend on SAMPLE_BLOCK. Memory: the output and the batch's proposals
-        `re` / `im` are O(count); scaling, the bracket, the envelope guard,
-        the uniforms and the compaction run over row blocks of SAMPLE_BLOCK
-        proposals, so everything else is O(SAMPLE_BLOCK). Every block of a
-        batch is guarded and draws its uniforms, also once the output is full.
+        Proposals come in blocks of min(int(1.2 * count * envelope_mass),
+        SAMPLE_BLOCK) rows. Each block draws all its `re` normals, then all
+        its `im` normals, brackets and guards every row, draws one uniform
+        per row and compacts its accepted rows into the output; the block
+        that fills the output is the last. The stream is defined per block,
+        so draws that need more than one block depend on SAMPLE_BLOCK.
+        Memory: the output plus O(SAMPLE_BLOCK).
         """
         check_int(count, "count", 1)
         dt = np.dtype(dtype).type
@@ -129,35 +129,31 @@ class SignedGaussianMixture:
         parts = out.view(dt).reshape(count, self.n, 2)   # [..., 0] real, [..., 1] imag
         filled = 0
         # Envelope mass bounds the expected trials per accepted sample; it is
-        # at least 1, so a batch holds at least one row, and a batch that
-        # accepts too few is topped up by another of the same size.
-        batch = min(int(1.2 * count * self.envelope_mass), 4_000_000)
-        re = np.empty((batch, self.n), dtype=dt)
-        im = np.empty((batch, self.n), dtype=dt)
-        u = np.empty(min(batch, SAMPLE_BLOCK), dtype=dt)
+        # at least 1, so a block holds at least one row, and a call that one
+        # block does not fill draws further blocks of the same size.
+        block = min(int(1.2 * count * self.envelope_mass), SAMPLE_BLOCK)
+        re = np.empty((block, self.n), dtype=dt)
+        im = np.empty((block, self.n), dtype=dt)
+        u = np.empty(block, dtype=dt)
         while filled < count:
             rng.standard_normal(out=re, dtype=dt)
             rng.standard_normal(out=im, dtype=dt)
-            for start in range(0, batch, SAMPLE_BLOCK):
-                re_b = re[start:start + SAMPLE_BLOCK]
-                im_b = im[start:start + SAMPLE_BLOCK]
-                re_b *= scale
-                im_b *= scale
-                ratio = self._bracket(re_b, im_b)
-                ratio *= inv_mass
-                if np.max(ratio) > 1.0 + guard:
-                    raise NumericFailure(
-                        f"rejection envelope violated: ratio {np.max(ratio)} > 1; "
-                        "the proposal no longer dominates the density")
-                u_b = u[:len(ratio)]
-                rng.random(out=u_b, dtype=dt)
-                idx = np.flatnonzero(u_b < ratio)[:count - filled]
-                take = len(idx)
-                # Compact the accepted rows straight into `out`; idx < len(re_b),
-                # so mode="clip" never clips, and unlike "raise" it needs no buffer.
-                np.take(re_b, idx, axis=0, out=parts[filled:filled + take, :, 0], mode="clip")
-                np.take(im_b, idx, axis=0, out=parts[filled:filled + take, :, 1], mode="clip")
-                filled += take
+            re *= scale
+            im *= scale
+            ratio = self._bracket(re, im)
+            ratio *= inv_mass
+            if np.max(ratio) > 1.0 + guard:
+                raise NumericFailure(
+                    f"rejection envelope violated: ratio {np.max(ratio)} > 1; "
+                    "the proposal no longer dominates the density")
+            rng.random(out=u, dtype=dt)
+            idx = np.flatnonzero(u < ratio)[:count - filled]
+            take = len(idx)
+            # Compact the accepted rows straight into `out`; idx < block, so
+            # mode="clip" never clips, and unlike "raise" it needs no buffer.
+            np.take(re, idx, axis=0, out=parts[filled:filled + take, :, 0], mode="clip")
+            np.take(im, idx, axis=0, out=parts[filled:filled + take, :, 1], mode="clip")
+            filled += take
         return out
 
 

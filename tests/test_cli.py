@@ -453,6 +453,13 @@ class TestInputErrors:
         assert self._game(tmp_path, cfg) == 2
         assert "colour" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappa", [float("inf"), float("nan"), 0.0])
+    def test_non_finite_or_non_positive_kappa_is_2(self, tmp_path, capsys, kappa):
+        cfg = {"family": "three_peak", "n": 1, "nu": 0.9, "eps0": 0.25, "kappa": kappa,
+               "copies": 10, "trials": 2}
+        assert self._game(tmp_path, cfg) == 2
+        assert "kappa must be a finite number > 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("points", [[[{"re": 1}]], [[1.0, 2.0]], [[{"re": 1, "im": 0}] * 2],
                                         {"re": 1, "im": 0}, [[{"re": 1, "im": 0}], []]])
     def test_malformed_point_rows_are_2(self, tmp_path, capsys, points):

@@ -46,6 +46,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="sigma"):
             GameConfig(family="three_peak", n=1, nu=0.2, eps0=0.2, kappa=0.5, copies=10)
 
+    @pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_kappa_must_be_finite_and_positive(self, kappa):
+        with pytest.raises(ValidationError, match="kappa must be a finite number > 0"):
+            GameConfig(family="three_peak", n=1, nu=0.9, eps0=0.2, kappa=kappa, copies=10)
+
     def test_reflected_copies_rejected_when_unavailable(self):
         with pytest.raises(ValidationError, match="reflected"):
             GameConfig(family="three_peak", n=1, nu=0.9, eps0=0.2, kappa=2.0,

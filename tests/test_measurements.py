@@ -5,6 +5,7 @@ for the closed-form mixtures; Monte Carlo moments check the samplers.
 """
 
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -173,21 +174,25 @@ class TestSampleBell:
 
 
 def reference_sample(mix, count, rng, dtype):
-    """The sampler's loop written out: normals (re, im), bracket, uniforms, and
-    the accepted rows built as re[idx] + 1j * im[idx]; also the batch count."""
+    """The sampler's loop written out, one block of proposals at a time:
+    normals (re, im), bracket, uniforms, and the accepted rows built as
+    re[idx] + 1j * im[idx]. Also the block count and the accepted rows of
+    the last block that the output did not need."""
     dt = np.dtype(dtype).type
     scale, inv_mass = dt(np.sqrt(mix.variance)), dt(1.0 / mix.envelope_mass)
-    batch = min(int(1.2 * count * mix.envelope_mass), 4_000_000)
-    rows, filled = [], 0
+    block = min(int(1.2 * count * mix.envelope_mass), SAMPLE_BLOCK)
+    rows, filled, surplus = [], 0, 0
     while filled < count:
-        re = rng.standard_normal((batch, mix.n), dtype=dtype) * scale
-        im = rng.standard_normal((batch, mix.n), dtype=dtype) * scale
+        re = rng.standard_normal((block, mix.n), dtype=dtype) * scale
+        im = rng.standard_normal((block, mix.n), dtype=dtype) * scale
         ratio = mix._bracket(re, im) * inv_mass
-        u = rng.random(batch, dtype=dtype)
-        idx = np.flatnonzero(u < ratio)[:count - filled]
+        u = rng.random(block, dtype=dtype)
+        accepted = np.flatnonzero(u < ratio)
+        idx = accepted[:count - filled]
+        surplus = len(accepted) - len(idx)
         rows.append(re[idx] + 1j * im[idx])
         filled += len(idx)
-    return np.concatenate(rows), len(rows)
+    return np.concatenate(rows), len(rows), surplus
 
 
 class TestSampleStream:
@@ -203,7 +208,7 @@ class TestSampleStream:
     def test_matches_reference_loop(self, dtype, scheme, n):
         mix = self.mixture(scheme, n)
         got = mix.sample(5000, make_rng(61, stream=n), dtype=dtype)
-        want, _ = reference_sample(mix, 5000, make_rng(61, stream=n), dtype)
+        want, _, _ = reference_sample(mix, 5000, make_rng(61, stream=n), dtype)
         assert got.dtype == (np.complex64 if dtype == np.float32 else np.complex128)
         assert got.shape == (5000, n)
         assert np.array_equal(got, want)
@@ -212,41 +217,56 @@ class TestSampleStream:
     @pytest.mark.parametrize("scheme", ["bell", "heterodyne"])
     @pytest.mark.parametrize("count", [1, 5, 50])
     def test_matches_reference_loop_at_small_counts(self, dtype, scheme, count):
-        # A batch holds int(1.2 count mass) rows, with no floor; top-up batches
-        # of the same size fill what the first one leaves.
+        # A block holds int(1.2 count mass) rows, with no floor; further
+        # blocks of the same size fill what the first one leaves.
         mix = self.mixture(scheme, 2)
         got = mix.sample(count, make_rng(67, stream=count), dtype=dtype)
-        want, batches = reference_sample(mix, count, make_rng(67, stream=count), dtype)
+        want, blocks, _ = reference_sample(mix, count, make_rng(67, stream=count), dtype)
         assert got.shape == (count, 2)
         assert np.array_equal(got, want)
-        if (scheme, count) == ("heterodyne", 5):   # on these streams the first batch falls short
-            assert batches == 2
+        if (scheme, count) == ("heterodyne", 5):   # on these streams the first block falls short
+            assert blocks == 2
 
-    def test_matches_reference_loop_across_batches(self):
-        # At the 4M-proposal cap a second batch fills the rest of the output.
+    def test_matches_reference_loop_over_many_blocks(self):
+        # Criterion-5 scale: about 33 full blocks, the last filling the
+        # output part way, with accepted rows left over.
         mix = self.mixture("bell", 1)
         count = 1_900_000
         got = mix.sample(count, make_rng(62), dtype=np.float32)
-        want, batches = reference_sample(mix, count, make_rng(62), np.float32)
-        assert batches == 2
+        want, blocks, surplus = reference_sample(mix, count, make_rng(62), np.float32)
+        assert blocks > 30 and surplus > 0
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("scheme", ["bell", "heterodyne"])
     def test_matches_reference_loop_across_blocks(self, dtype, scheme):
-        # One batch spans several SAMPLE_BLOCK row blocks and ends in a partial one.
+        # More rows than one block: full SAMPLE_BLOCK blocks until one fills the output.
         mix = self.mixture(scheme, 2)
         count = 150_000
-        batch = min(int(1.2 * count * mix.envelope_mass), 4_000_000)
-        assert batch > 2 * SAMPLE_BLOCK and batch % SAMPLE_BLOCK
+        assert int(1.2 * count * mix.envelope_mass) > 2 * SAMPLE_BLOCK
         got = mix.sample(count, make_rng(63), dtype=dtype)
-        want, batches = reference_sample(mix, count, make_rng(63), dtype)
-        assert batches == 1
+        want, blocks, _ = reference_sample(mix, count, make_rng(63), dtype)
+        assert blocks > 2
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", ["bell", "heterodyne"])
+    def test_single_block_streams_are_pinned(self, scheme):
+        # A draw that one block covers (int(1.2 count mass) <= SAMPLE_BLOCK)
+        # keeps the bytes it had when each batch was drawn whole.
+        digest = {"bell": "c1738b52c718a0d14037ef058dd9d7e10919cb39a71ba1abf68453130c1a2a2e",
+                  "heterodyne": "b27e1df44825429cf7dde52e4fd3b364879de634f04dd141f5684bdfa34b3500"}
+        st = make_three_peak(2, 0.75, 0.25, np.array([0.9 + 0.4j, -0.5j]))
+        partner = bell_partner(st, random_symmetric_unitary(2, make_rng(68)))
+        if scheme == "bell":
+            mix, rec = bell_mixture(st, partner), sample_bell(st, partner, 25_000, seed=69)
+        else:
+            mix, rec = heterodyne_mixture(st), sample_heterodyne(st, 25_000, seed=70)
+        assert int(1.2 * 25_000 * mix.envelope_mass) <= SAMPLE_BLOCK
+        assert hashlib.sha256(rec.outcomes.tobytes()).hexdigest() == digest[scheme]
 
 
 def traced_excess(mix, count):
-    """Peak memory traced while `sample` runs, above its output and proposals."""
+    """Peak memory traced while `sample` runs, above its output."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -254,40 +274,45 @@ def traced_excess(mix, count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    batch = min(int(1.2 * count * mix.envelope_mass), 4_000_000)
-    return peak - base - out.nbytes - 2 * batch * mix.n * np.dtype(np.float32).itemsize
+    return peak - base - out.nbytes
 
 
 class TestSampleBlocks:
     def test_memory_beyond_output_and_proposals_is_bounded(self):
-        # NumPy reports its buffers to tracemalloc; only the output and the
-        # batch's re / im may grow with the count.
+        # NumPy reports its buffers to tracemalloc; only the output may grow
+        # with the count, up to criterion 5's 2,156,928 n=3 draws.
         st = make_three_peak(3, 0.75, 0.25, np.full(3, 0.9 + 0.4j))
         mix = bell_mixture(st, bell_partner(st, random_symmetric_unitary(3, make_rng(63))))
-        for count in [200_000, 800_000]:
+        for count in [200_000, 2_156_928]:
             assert traced_excess(mix, count) <= 4 * 2 ** 20
 
-    def test_guard_checks_blocks_drawn_after_the_output_is_full(self):
-        # Thermal: ratio 1, so every proposal is accepted and the output is
-        # full before the batch's last block, whose ratio alone is corrupted.
+    def test_guard_checks_filling_block_rows_beyond_the_output(self):
+        # Thermal: ratio 1, so every proposal is accepted; the second block
+        # fills the output, and only its last row, which the output does not
+        # need, has a corrupted ratio.
         mix = heterodyne_mixture(make_thermal(1, 0.5))
         count = 110_000
-        batch = int(1.2 * count * mix.envelope_mass)
-        blocks = -(-batch // SAMPLE_BLOCK)
-        assert count <= (blocks - 1) * SAMPLE_BLOCK
+        assert SAMPLE_BLOCK < count < 2 * SAMPLE_BLOCK
         bracket, calls = mix._bracket, []
 
-        def corrupt_last_block(re, im):
-            out = bracket(re, im)
-            calls.append(len(out))
-            if len(calls) == blocks:
-                out[-1] = (1.0 + 10 * ENVELOPE_GUARD[np.float64]) * mix.envelope_mass
-            return out
+        def corrupting(call):
+            def traced(re, im):
+                out = bracket(re, im)
+                calls.append(len(out))
+                if len(calls) == call:
+                    out[-1] = (1.0 + 10 * ENVELOPE_GUARD[np.float64]) * mix.envelope_mass
+                return out
+            return traced
 
-        mix._bracket = corrupt_last_block
+        mix._bracket = corrupting(2)
         with pytest.raises(NumericFailure, match="envelope"):
             mix.sample(count, make_rng(65))
-        assert sum(calls) == batch
+        assert calls == [SAMPLE_BLOCK, SAMPLE_BLOCK]
+        # Uncorrupted, sampling stops after the block that fills the output.
+        calls.clear()
+        mix._bracket = corrupting(None)
+        assert mix.sample(count, make_rng(65)).shape == (count, 1)
+        assert calls == [SAMPLE_BLOCK, SAMPLE_BLOCK]
 
     def test_dtype_given_by_name_or_dtype_object(self):
         mix = heterodyne_mixture(make_three_peak(2, 0.6, 0.2, np.array([0.8, -0.3j])))
