@@ -9,13 +9,15 @@ The work is factored by mode. A displacement is `D1(a1) x D2(a2)` and the
 thermal filter is `F x F` with `F = diag(nu^m)`, so `build_state` forms the
 per-mode factors `A_ki = (1-nu^2) F D(-g_ki) F` and keeps them as
 `rho = sum_k w_k (x)_i A_ki`. The dense `rho` is formed only when `.data` is
-read. `char_trace`, `wigner_parity` and `husimi` trace products of one-mode
-operators O_i as `sum_k w_k prod_i Tr[A_ki O_i]`; the trace, the mean photon
-number and `petz_d2` come from per-mode traces too. The passes that need all
-of rho's entries (the Hermiticity guard and `min_eigenvalue`'s row masses)
-form its rows from the factors a block at a time. The filter leaves most rows
-negligible, so `min_eigenvalue` certifies a lower bound on the spectrum from
-the rows that carry weight, gathered into one small block.
+read. Every pass reads rho through these terms, and a matrix given only by
+`data` is one term with one factor of full dimension. `char_trace`,
+`wigner_parity` and `husimi` trace products of one-mode operators O_i as
+`sum_k w_k prod_i Tr[A_ki O_i]`; the trace, the mean photon number and
+`petz_d2` come from per-mode traces too. No pass forms rho's rows:
+`build_state`'s Hermiticity guard bounds `|rho - rho^H|` by pairing each term
+with its Hermitian partner, and `min_eigenvalue` takes the row masses from
+per-mode Gram diagonals and gathers only the rows that carry weight, since
+the filter leaves most rows negligible.
 """
 
 from __future__ import annotations
@@ -26,20 +28,20 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ValidationError, NumericFailure
-from .states import PeakState, char_fn, mean_photon, three_peak_plus
+from .states import PeakState, char_fn, hermitian_partners, mean_photon, three_peak_plus
 
 MAX_MODES = 2
 MAX_DIM = 4096      # a dense `data`, formed only on request, is then <= 256 MiB
 _DROP_TOL = 1e-13   # spectral-norm budget for the rows min_eigenvalue leaves out
-_ROW_BLOCK = 1 << 17   # entries of rho that one `_row_blocks` step forms
+_GATHER_BLOCK = 1 << 14   # entries of the kept block that one gather step forms
 
 
 class FockMatrix:
     """Operator on the truncated n-mode Fock space (cutoff levels per mode),
     equal to `sum_k weights[k] (x)_i factors[i, k]` with factors (n, k, cutoff,
     cutoff). Given the factors, the dense `data` is formed from them on first
-    access and kept. Given `data` alone, a one-mode matrix is its own single
-    term and a two-mode one has no factors."""
+    access and kept. Given `data` alone, the matrix is read as one term with one
+    factor of full dimension (see `_terms`)."""
 
     def __init__(self, n: int, cutoff: int, data: np.ndarray | None = None,
                  weights: np.ndarray | None = None, factors: np.ndarray | None = None):
@@ -48,8 +50,6 @@ class FockMatrix:
         self.n, self.cutoff = n, cutoff
         if data is not None:
             self.data = data
-            if factors is None and n == 1:
-                weights, factors = np.ones(1), data.reshape(1, 1, cutoff, cutoff)
         self.weights, self.factors = weights, factors
 
     @property
@@ -156,73 +156,50 @@ def _number_diag(n: int, cutoff: int) -> np.ndarray:
     return diag
 
 
-def _max_antihermitian(m: np.ndarray) -> float:
-    """max |m - m^H| of a dense matrix, taken over row blocks against the
-    matching column blocks; the reference for `_antihermitian_error`.
-
-    Block s compares rows s:s+block, from column s on, with the conjugate of
-    the columns s:s+block, so every pair (i, j) is met and no temporary grows
-    beyond block x dim.
-    """
-    block = 64
-    err = 0.0
-    for s in range(0, len(m), block):
-        err = max(err, float(np.max(np.abs(m[s:s + block, s:] - m[s:, s:s + block].conj().T))))
-    return err
-
-
-def _row_blocks(fm: FockMatrix):
-    """Yield (a0, block): rho's rows a leading-mode index range at a time,
-    about _ROW_BLOCK entries each, as block[a, c, b, d] = rho[(a0 + a, b), (c, d)]
-    with (b, d) the indices of the other mode.
-
-    From the factors, with R_k the other mode's factor, rho[(a,b),(c,d)] =
-    sum_k w_k A_k[a,c] R_k[b,d] is one (rows, k) @ (k, C_R^2) product that
-    comes out in exactly that order. Without factors the block is a transposed
-    view of `data`'s rows. Blocks are complex128 with their last axis contiguous.
-    """
-    cutoff, per_a = fm.cutoff, fm.dim // fm.cutoff   # rows, and columns, per leading index
-    step = max(1, _ROW_BLOCK // (per_a * fm.dim))
+def _terms(fm: FockMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, factors) with rho = sum_k weights[k] (x)_i factors[i, k]; a
+    matrix given only by `data` is one term with one factor of full dimension."""
     if fm.factors is None:
-        for a in range(0, cutoff, step):
-            rows = np.ascontiguousarray(fm.data[a * per_a:(a + step) * per_a], dtype=complex)
-            yield a, rows.reshape(-1, per_a, cutoff, per_a).transpose(0, 2, 1, 3)
-        return
-    k = len(fm.weights)
-    lead = np.asarray(fm.weights[:, None, None] * fm.factors[0], dtype=complex)
-    rest = fm.factors[1].reshape(k, -1) if fm.n == 2 else np.ones((k, 1))
-    for a in range(0, cutoff, step):
-        yield a, (lead[:, a:a + step].reshape(k, -1).T @ rest).reshape(-1, cutoff, per_a, per_a)
+        return np.ones(1), fm.data[None, None]
+    return fm.weights, fm.factors
 
 
-def _antihermitian_error(fm: FockMatrix) -> float:
-    """max |rho - rho^H| over every entry, through the row blocks of the
-    factored M = rho - rho^H = sum_k [w_k (x)_i A_ki - conj(w_k) (x)_i A_ki^H].
+def _antihermitian_bound(fm: FockMatrix, partner: np.ndarray) -> float:
+    """An upper bound on max |rho - rho^H| from the terms, each matched with
+    its partner p = partner[k]; inf when `partner` is not a permutation.
 
-    |M_ij| = |M_ji|, so a block of leading row indices from a on is read only
-    in the columns whose leading index is a or more; as in `_max_antihermitian`,
-    every pair (i, j) is still met.
+    Summed over the permutation, rho^H = sum_k conj(w_p) (x)_i A_pi^H, so
+    rho - rho^H = sum_k [a (x)_i X_i - b (x)_i Y_i] with a = w_k, X_i = A_ki,
+    b = conj(w_p), Y_i = A_pi^H. Each bracket telescopes over the modes,
+    (a - b) (x)_i X_i + b sum_i (x)_{j<i} Y_j (x) (X_i - Y_i) (x)_{j>i} X_j,
+    and the largest entry of a Kronecker product is the product of its
+    factors' largest entries. A term that equals its partner's adjoint adds 0.
     """
-    diff = FockMatrix(fm.n, fm.cutoff, weights=np.concatenate([fm.weights, -np.conj(fm.weights)]),
-                      factors=np.concatenate([fm.factors, np.conj(fm.factors).swapaxes(2, 3)],
-                                             axis=1))
-    return max(float(np.max(np.abs(block[:, a:]))) for a, block in _row_blocks(diff))
+    weights, factors = _terms(fm)
+    if not np.array_equal(np.sort(partner), np.arange(len(weights))):
+        return math.inf
+    x = np.max(np.abs(factors), axis=(2, 3))          # (factors, k); max|A^H| = max|A|
+    y = x[:, partner]
+    diff = np.max(np.abs(factors - np.conj(factors[:, partner]).swapaxes(2, 3)), axis=(2, 3))
+    b = np.conj(weights[partner])
+    bound = np.abs(weights - b) * np.prod(x, axis=0)
+    for i in range(len(factors)):
+        bound += np.abs(b) * diff[i] * np.prod(y[:i], axis=0) * np.prod(x[i + 1:], axis=0)
+    return float(bound.sum())
 
 
 def _traces(fm: FockMatrix) -> tuple[complex, complex]:
-    """(Tr rho, Tr[rho N]), N the total photon number, from per-mode traces.
+    """(Tr rho, Tr[rho N]), N the total photon number, from per-factor traces.
 
-    With t_ki = Tr A_ki and m_ki = Tr[A_ki n], Tr rho = sum_k w_k prod_i t_ki,
-    and N = sum_i n_i gives Tr[rho N] = sum_k w_k sum_i m_ki prod_{j != i} t_kj.
-    A two-mode matrix without factors reads its diagonal.
+    With t_ki = Tr A_ki and m_ki = Tr[A_ki N_i], N_i the photon number on the
+    factor's modes, Tr rho = sum_k w_k prod_i t_ki, and N = sum_i N_i gives
+    Tr[rho N] = sum_k w_k sum_i m_ki prod_{j != i} t_kj.
     """
-    if fm.factors is None:
-        diag = np.diagonal(fm.data)
-        return complex(diag.sum()), complex(diag @ _number_diag(fm.n, fm.cutoff))
-    diag = np.diagonal(fm.factors, axis1=2, axis2=3)
-    t, m = diag.sum(axis=2), diag @ np.arange(fm.cutoff, dtype=float)
-    photons = sum(m[i] * np.prod(np.delete(t, i, axis=0), axis=0) for i in range(fm.n))
-    return complex(fm.weights @ np.prod(t, axis=0)), complex(fm.weights @ photons)
+    weights, factors = _terms(fm)
+    diag = np.diagonal(factors, axis1=2, axis2=3)
+    t, m = diag.sum(axis=2), diag @ _number_diag(fm.n // len(factors), fm.cutoff)
+    photons = sum(m[i] * np.prod(np.delete(t, i, axis=0), axis=0) for i in range(len(factors)))
+    return complex(weights @ np.prod(t, axis=0)), complex(weights @ photons)
 
 
 def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
@@ -230,7 +207,8 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
     its per-mode factors; the dense `data` is formed on first access.
 
     Each term factors by mode: (1-nu^2) F D(-g_{k,i}) F with F = diag(nu^m),
-    since D^dag(g) = D(-g) = D1(-g1) x D2(-g2).
+    since D^dag(g) = D(-g) = D1(-g1) x D2(-g2). The Hermiticity guard pairs
+    each peak with its (conj(w), -g) partner, whose term is the adjoint.
     """
     if cutoff is None:
         cutoff = default_cutoff(state)
@@ -246,7 +224,7 @@ def build_state(state: PeakState, cutoff: int | None = None) -> FockMatrix:
         raise ValidationError(
             f"cutoff {cutoff} too small: |Tr rho - 1| = {trace_err:.2e}; "
             f"suggested cutoff >= {default_cutoff(state)}")
-    herm_err = _antihermitian_error(fm)
+    herm_err = _antihermitian_bound(fm, hermitian_partners(state.centers)[0])
     if herm_err > 1e-10:
         raise NumericFailure(f"oracle state not Hermitian: {herm_err:.2e}")
     return fm
@@ -270,11 +248,12 @@ def _mode_trace(fm: FockMatrix, points, mode_ops):
         raise ValidationError(
             f"oracle points must have shape (n,) or (m, n) with n = {fm.n}, "
             f"got {points.shape}")
-    if fm.factors is None:
+    weights, factors = _terms(fm)
+    if len(factors) != fm.n:
         raise ValidationError(
             f"a {fm.n}-mode FockMatrix traces only through the factors build_state keeps")
     cutoff = fm.cutoff
-    a_t = fm.factors.transpose(0, 1, 3, 2).reshape(fm.n, len(fm.weights), -1)
+    a_t = factors.transpose(0, 1, 3, 2).reshape(fm.n, len(weights), -1)
     # blocks of points keep the operator stacks near 2^20 entries
     block = max(1, (1 << 20) // cutoff ** 2)
     out = np.empty(len(batch), dtype=complex)
@@ -282,7 +261,7 @@ def _mode_trace(fm: FockMatrix, points, mode_ops):
         pts = batch[s:s + block]
         terms = np.prod([a_t[i] @ mode_ops(pts[:, i], cutoff).reshape(len(pts), -1).T
                          for i in range(fm.n)], axis=0)
-        out[s:s + block] = fm.weights @ terms
+        out[s:s + block] = weights @ terms
     return complex(out[0]) if single else out
 
 
@@ -325,29 +304,40 @@ class EigenvalueBound(float):
 
 
 def _masses(fm: FockMatrix) -> np.ndarray:
-    """max(|rho row|^2, |rho column|^2) for every row, over rho's row blocks."""
-    row_mass = np.empty((fm.cutoff, fm.dim // fm.cutoff))
-    col_mass = np.zeros_like(row_mass)
-    for a, block in _row_blocks(fm):
-        v = block.view(np.float64)      # |z|^2 = re^2 + im^2, no temporary
-        row_mass[a:a + len(v)] = np.einsum("acbd,acbd->ab", v, v)
-        col_mass += np.einsum("acbd,acbd->cd", v, v).reshape(col_mass.shape + (2,)).sum(axis=2)
-    return np.maximum(row_mass, col_mass).reshape(-1)
+    """max(|rho row|^2, |rho column|^2) for every row, from the terms.
+
+    |rho row r|^2 = (rho rho^H)_rr = sum_kl w_k conj(w_l) prod_i (A_ki A_li^H)[r_i, r_i],
+    an outer product over the factors of their (k, l) Gram diagonals. The
+    columns use A^H A: the same products summed over r instead of c give the
+    conjugate of the column mass, which is real.
+    """
+    weights, factors = _terms(fm)
+    k = len(weights)
+    row = col = np.outer(weights, np.conj(weights))[:, :, None]
+    for f in factors:
+        f_conj = np.conj(f)
+        row = (row[..., None] * np.einsum("krc,lrc->klr", f, f_conj)[:, :, None]).reshape(k, k, -1)
+        col = (col[..., None] * np.einsum("krc,lrc->klc", f, f_conj)[:, :, None]).reshape(k, k, -1)
+    return np.maximum(row.sum(axis=(0, 1)).real, col.sum(axis=(0, 1)).real)
 
 
 def _kept_block(fm: FockMatrix, keep: np.ndarray) -> np.ndarray:
-    """rho[keep][:, keep] for sorted `keep`, from a second pass over the row blocks."""
-    lead, other = np.divmod(keep, fm.dim // fm.cutoff)
-    out = np.empty((len(keep), len(keep)), dtype=complex)
-    filled = 0
-    for a, block in _row_blocks(fm):
-        rows = (lead >= a) & (lead < a + len(block))
-        if rows.any():
-            kept = block[lead[rows] - a, :, other[rows], :].reshape(int(rows.sum()), -1)
-            out[filled:filled + len(kept)] = kept[:, keep]
-            filled += len(kept)
-            if filled == len(keep):
-                break
+    """rho[keep][:, keep], h_KK[r, s] = sum_k w_k prod_i A_ki[r_i, s_i], gathered
+    from the terms a block of kept rows and one term at a time."""
+    weights, factors = _terms(fm)
+    size = factors.shape[2]
+    idx = np.unravel_index(keep, (size,) * len(factors))
+    flat = factors.reshape(len(factors), len(weights), -1)
+    out = np.zeros((len(keep), len(keep)), dtype=complex)
+    step = max(1, _GATHER_BLOCK // len(keep))
+    for s in range(0, len(keep), step):
+        # flat offsets of (r_i, s_i) in factor i, shared by every term
+        at = [i[s:s + step, None] * size + i for i in idx]
+        for k, w in enumerate(weights):
+            block = w * flat[0, k].take(at[0])
+            for f, a in zip(flat[1:], at[1:]):
+                block *= f[k].take(a)
+            out[s:s + step] += block
     return out
 
 
@@ -365,9 +355,9 @@ def min_eigenvalue(fm: FockMatrix) -> EigenvalueBound:
     exceeds lam_min(h), up to `eigvalsh`'s own rounding; when no row can be
     dropped it is the full spectrum's minimum.
 
-    Both squared norms are summed over rho's row blocks, and h_KK is gathered
-    from a second pass over them, so rho is never formed whole. The value
-    carries `kept_rows` and `dropped_norm_bound` (see `EigenvalueBound`).
+    Both squared norms come from the factors' Gram diagonals and h_KK is
+    gathered from the terms, so no pass forms rho's rows. The value carries
+    `kept_rows` and `dropped_norm_bound` (see `EigenvalueBound`).
     """
     mass = _masses(fm)
     order = np.argsort(mass)

@@ -28,7 +28,8 @@ from .numerics import (
     sample_complex_gaussian,
     takagi_decompose,
 )
-from .states import PeakState, bell_partner, char_fn, filter_variances, make_thermal, peak_layout
+from .states import (PeakState, _check_eps0, bell_partner, char_fn, filter_variances,
+                     make_thermal, peak_layout)
 
 FAMILIES = ("three_peak", "five_peak")
 TRIAL_CHUNK = 1024   # trials whose draws, families and samplers a run holds at once
@@ -63,6 +64,9 @@ class GameConfig:
             check_int(getattr(self, key), key, low)
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValidationError(f"kappa must be a finite number > 0, got {self.kappa!r}")
+        if not (0.0 < self.nu < 1.0):
+            raise ValidationError(f"nu must lie in (0, 1), got {self.nu!r}")
+        _check_eps0(self.eps0)
         if not set(self.order) <= {"o", "r"} or not self.order:
             raise ValidationError("order must be a nonempty string over {o, r}")
         if self.u is None:

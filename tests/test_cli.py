@@ -447,6 +447,14 @@ class TestInputErrors:
         cpath.write_text(json.dumps(cfg))
         return main(["game", "run", "--config", str(cpath), "--out", str(tmp_path / "g.json")])
 
+    @pytest.mark.parametrize("key, value", [("nu", 0.0), ("nu", 1.0), ("eps0", float("nan")),
+                                            ("eps0", -0.5), ("eps0", float("inf"))])
+    def test_out_of_range_game_nu_or_eps0_is_2(self, tmp_path, capsys, key, value):
+        cfg = {"family": "three_peak", "n": 1, "nu": 0.9, "eps0": 0.25, "kappa": 2.0,
+               "copies": 10, "trials": 2, key: value}
+        assert self._game(tmp_path, cfg) == 2
+        assert f"{key} must lie in" in capsys.readouterr().err
+
     def test_unknown_game_key_is_2(self, tmp_path, capsys):
         cfg = {"family": "three_peak", "n": 1, "nu": 0.9, "eps0": 0.25, "kappa": 2.0,
                "copies": 10, "trials": 2, "estimate_tvd": False, "colour": "red"}

@@ -13,9 +13,8 @@ from cvlearn import fock_oracle
 from cvlearn.errors import NumericFailure, ValidationError
 from cvlearn.fock_oracle import (
     FockMatrix,
-    _antihermitian_error,
+    _antihermitian_bound,
     _displacements_1mode,
-    _max_antihermitian,
     build_state,
     char_trace,
     default_cutoff,
@@ -33,6 +32,7 @@ from cvlearn.states import (
     bell_partner,
     char_fn,
     fock1_char,
+    hermitian_partners,
     make_five_peak,
     make_thermal,
     make_three_peak,
@@ -172,14 +172,6 @@ class TestBuildState:
             g *= math.sqrt(1.6) / np.linalg.norm(g)
             assert default_cutoff(make_three_peak(2, 0.5, 0.2, g)) == 36
 
-    def test_hermitian_error_over_blocks_matches_dense(self):
-        rng = make_rng(16)
-        for dim in (1, 63, 64, 65, 130):
-            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            m = m + m.conj().T
-            m[rng.integers(dim), rng.integers(dim)] += 1e-6j * rng.normal()
-            assert _max_antihermitian(m) == np.max(np.abs(m - m.conj().T))
-
     def test_mean_photon(self):
         st = make_three_peak(1, 0.6, 0.2, np.array([0.8]))
         fm = build_state(st)
@@ -303,11 +295,9 @@ class TestHusimiWigner:
         st = make_three_peak(1, 0.5, 0.2, np.array([0.8]))
         fm = build_state(st)
 
-        def oracle_chi(batch):
-            return np.array([char_trace(fm, p) for p in batch])
-
         betas = np.array([0.2 + 0.1j, -0.6j])
-        vals = s_qpd_grid_1mode(oracle_chi, 0.0, betas, half_width=5.0, points=121)
+        vals = s_qpd_grid_1mode(lambda b: char_trace(fm, b), 0.0, betas, half_width=5.0,
+                                points=121)
         expect = wigner(st, betas.reshape(-1, 1))
         assert np.max(np.abs(vals - expect)) < 1e-4
 
@@ -504,22 +494,36 @@ class TestCertifiedMinEigenvalue:
         assert min_eigenvalue(fm) == np.linalg.eigvalsh(0.5 * (data + data.conj().T))[0]
 
 
+def _traced_oracle_check(state, cutoff=None):
+    """(report, tracemalloc peak) of one oracle_check after a warm-up call."""
+    oracle_check(state, cutoff)               # tables and imports are warm
+    tracemalloc.start()
+    try:
+        rep = oracle_check(state, cutoff)
+        return rep, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamedOracle:
-    """oracle_check works from the factors and rho's row blocks; the dense
-    `data` is the reference."""
+    """oracle_check works from the terms alone, never from rho's rows; the
+    dense `data`, read as one term of full dimension, is the reference."""
 
     def test_oracle_check_traced_peak_is_bounded(self):
         # a dense dim-1296 rho alone is 26.9 MB
         for st in _benchmark_oracle_states(1):
-            oracle_check(st)                      # tables and imports are warm
-            tracemalloc.start()
-            try:
-                rep = oracle_check(st)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            rep, peak = _traced_oracle_check(st)
             assert rep["dim"] == 1296
             assert peak <= 8 * 2 ** 20
+
+    def test_oracle_check_at_cutoff_63_traced_peak_is_bounded(self):
+        # dim 3969, where a dense rho alone is 252 MB
+        u = random_symmetric_unitary(2, make_rng(3))
+        st = make_five_peak(2, 0.5, 0.2, np.array([0.8 + 0.4j, -0.5j]), u)
+        rep, peak = _traced_oracle_check(st, 63)
+        assert rep["dim"] == 3969 and rep["kept_rows"] < rep["dim"]
+        assert rep["min_eigenvalue"] >= -1e-9
+        assert peak <= 8 * 2 ** 20
 
     def test_oracle_pass_leaves_dense_matrix_unformed(self):
         st = _benchmark_oracle_states(7)[1]
@@ -558,16 +562,23 @@ class TestStreamedOracle:
         lam = min_eigenvalue(FockMatrix(n=1, cutoff=8, data=data))
         assert lam.kept_rows == 8 and lam.dropped_norm_bound == 0.0
 
-    def test_streamed_hermitian_error_matches_dense(self):
-        fm = build_state(_benchmark_oracle_states(1)[1])
-        assert abs(_antihermitian_error(fm) - _max_antihermitian(fm.data)) <= 1e-15
+    def test_hermitian_bound_covers_dense_error(self):
+        states = _benchmark_oracle_states(1) + factored_cases()
+        for st in states:
+            fm = build_state(st)
+            assert _antihermitian_bound(fm, hermitian_partners(st.centers)[0]) == 0.0
+        st = states[1]
+        fm = build_state(st)
+        partner = hermitian_partners(st.centers)[0]
         factors = fm.factors.copy()
         factors[0, 1, 0, 1] += 1e-6
         factors[1, 2, 3, 0] -= 2e-7j
         skewed = FockMatrix(n=2, cutoff=fm.cutoff, weights=fm.weights, factors=factors)
-        err = _antihermitian_error(skewed)
-        assert err > 1e-8
-        assert abs(err - _max_antihermitian(skewed.data)) <= 1e-15
+        bound = _antihermitian_bound(skewed, partner)
+        d = skewed.data
+        assert bound > 1e-8
+        assert bound >= np.max(np.abs(d - d.conj().T))
+        assert _antihermitian_bound(fm, np.zeros_like(partner)) == math.inf
 
     def test_build_state_hermitian_guard_raises(self, monkeypatch):
         real = fock_oracle._displacements_1mode

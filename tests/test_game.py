@@ -51,6 +51,16 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="kappa must be a finite number > 0"):
             GameConfig(family="three_peak", n=1, nu=0.9, eps0=0.2, kappa=kappa, copies=10)
 
+    @pytest.mark.parametrize("key, value", [("nu", 0.0), ("nu", 1.0), ("nu", -0.5),
+                                            ("nu", math.nan), ("eps0", 0.0), ("eps0", 0.3),
+                                            ("eps0", -0.5), ("eps0", math.nan),
+                                            ("eps0", math.inf)])
+    def test_nu_and_eps0_ranges(self, key, value):
+        # checked before the filter variances, which divide by nu and 1 - nu
+        cfg = dict(family="three_peak", n=1, nu=0.9, eps0=0.2, kappa=2.0, copies=10)
+        with pytest.raises(ValidationError, match=f"{key} must lie in"):
+            GameConfig(**{**cfg, key: value})
+
     def test_reflected_copies_rejected_when_unavailable(self):
         with pytest.raises(ValidationError, match="reflected"):
             GameConfig(family="three_peak", n=1, nu=0.9, eps0=0.2, kappa=2.0,
