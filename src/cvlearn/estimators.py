@@ -120,33 +120,35 @@ def _phase_factor_sums(outcomes: np.ndarray, freqs: np.ndarray, dtype,
     (2n, rows) = [Re z | Im z]^T, and phases (M, rows) = Phi^T @ parts from
     one real matmul. In-place trig on reused buffers keeps the hot path
     allocation-free, and each query point's sum runs along a contiguous row,
-    accumulated in float64.
+    accumulated in float64. Leading axes broadcast through `np.matmul`:
+    outcomes (T, N, n) with freqs (T, M, n) give sums (T, M), trial t's
+    queries reading only trial t's outcomes.
     """
-    n_samp, n_modes = outcomes.shape
-    mat_t = phase_matrix(freqs).T.astype(dtype)
-    m = mat_t.shape[0]
-    acc = np.zeros(m, dtype=complex)
+    *lead, n_samp, n_modes = outcomes.shape
+    mat_t = phase_matrix(freqs).swapaxes(-1, -2).astype(dtype)
+    m = mat_t.shape[-2]
+    acc = np.zeros((*lead, m), dtype=complex)
     parts = phases = cos_buf = None
     for lo in range(0, n_samp, chunk):
-        zz = outcomes[lo:lo + chunk]
-        b = zz.shape[0]
-        if parts is None or parts.shape[1] != b:
-            parts = np.empty((2 * n_modes, b), dtype=dtype)
-            phases = np.empty((m, b), dtype=dtype)
-            cos_buf = np.empty((m, b), dtype=dtype)
-        parts[:n_modes] = zz.real.T
-        parts[n_modes:] = zz.imag.T
+        zz = outcomes[..., lo:lo + chunk, :]
+        b = zz.shape[-2]
+        if parts is None or parts.shape[-1] != b:
+            parts = np.empty((*lead, 2 * n_modes, b), dtype=dtype)
+            phases = np.empty((*lead, m, b), dtype=dtype)
+            cos_buf = np.empty((*lead, m, b), dtype=dtype)
+        parts[..., :n_modes, :] = zz.real.swapaxes(-1, -2)
+        parts[..., n_modes:, :] = zz.imag.swapaxes(-1, -2)
         np.matmul(mat_t, parts, out=phases)
         np.cos(phases, out=cos_buf)
-        acc += cos_buf.sum(axis=1, dtype=np.float64)
+        acc += cos_buf.sum(axis=-1, dtype=np.float64)
         np.sin(phases, out=phases)
-        acc += 1j * phases.sum(axis=1, dtype=np.float64)
+        acc += 1j * phases.sum(axis=-1, dtype=np.float64)
     return acc
 
 
-def _block_rows(chunk: int | None, m: int) -> int:
-    """Rows per block: `chunk`, or by default 2^20 phase entries for m points."""
-    return max(1, (1 << 20) // m) if chunk is None else chunk
+def _block_rows(chunk: int | None, alphas: np.ndarray) -> int:
+    """Rows per block: `chunk`, or by default 2^20 phase entries for all query rows."""
+    return max(1, (1 << 20) // alphas[..., 0].size) if chunk is None else chunk
 
 
 def chi_squared_means(outcomes: np.ndarray, alphas: np.ndarray,
@@ -154,11 +156,13 @@ def chi_squared_means(outcomes: np.ndarray, alphas: np.ndarray,
     """(1/N) sum_j e^{-(zeta_j . a - zeta_j* . a*)} for each row a of `alphas`.
 
     The summand is e^{-2i Im(zeta . a)} (unconjugated dot), modulus one: the
-    conjugate of the phase factor at frequency 2a.
+    conjugate of the phase factor at frequency 2a. Outcomes (N, n) with alphas
+    (M, n) give M means; a leading trial axis, outcomes (T, N, n) with alphas
+    (T, M, n), gives (T, M), each trial's means over its own outcomes.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
-    sums = _phase_factor_sums(outcomes, 2.0 * alphas, dtype, _block_rows(chunk, len(alphas)))
-    return np.conj(sums) / outcomes.shape[0]
+    sums = _phase_factor_sums(outcomes, 2.0 * alphas, dtype, _block_rows(chunk, alphas))
+    return np.conj(sums) / outcomes.shape[-2]
 
 
 def chi_heterodyne_means(outcomes: np.ndarray, alphas: np.ndarray,
@@ -166,12 +170,13 @@ def chi_heterodyne_means(outcomes: np.ndarray, alphas: np.ndarray,
     """e^{|a|^2/2} (1/N) sum_j e^{zeta_j^dag a - a^dag zeta_j} per query row.
 
     2 Im(zeta^dag a) = Im(zeta . (-2 a*)), the phase at frequency -2 a*.
+    Takes a leading trial axis as `chi_squared_means` does.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
     sums = _phase_factor_sums(outcomes, -2.0 * np.conj(alphas), dtype,
-                              _block_rows(chunk, len(alphas)))
-    boost = np.exp(0.5 * np.sum(np.abs(alphas) ** 2, axis=1))
-    return boost * sums / outcomes.shape[0]
+                              _block_rows(chunk, alphas))
+    boost = np.exp(0.5 * np.sum(np.abs(alphas) ** 2, axis=-1))
+    return boost * sums / outcomes.shape[-2]
 
 
 # ---------------------------------------------------------------------------

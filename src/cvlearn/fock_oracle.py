@@ -365,10 +365,17 @@ def min_eigenvalue(fm: FockMatrix) -> EigenvalueBound:
     # at least one row is kept, so the block is never empty
     n_drop = min(int(np.searchsorted(cum, 0.5 * _DROP_TOL ** 2, side="right")), len(cum) - 1)
     keep = np.sort(order[n_drop:])
-    # h_KK = (block + block^H) / 2, assembled in place
+    # h_KK = (block + block^H) / 2, written in place into the lower triangle,
+    # which is all `eigvalsh` reads. Rows [lo, hi) take columns [0, hi); they
+    # read only rows [lo, hi) and columns [lo, hi) of rows above, which no
+    # earlier block wrote, so the block's one temporary is its only copy
     h = _kept_block(fm, keep)
-    h += h.conj().T
-    h *= 0.5
+    step = max(1, _GATHER_BLOCK // len(keep))
+    for lo in range(0, len(keep), step):
+        hi = lo + step
+        rows = h[lo:hi, :hi] + h[:hi, lo:hi].conj().T
+        rows *= 0.5
+        h[lo:hi, :hi] = rows
     lam = float(np.linalg.eigvalsh(h)[0])
     if n_drop == 0:
         return EigenvalueBound(lam, len(keep), 0.0)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimators import chi_heterodyne_means, chi_squared_means
-from .measurements import (SignedGaussianMixture, pair_log_values, peak_mixtures,
-                           validate_bell_pair)
+from .measurements import (SignedGaussianMixture, pair_log_brackets, pair_projection,
+                           peak_mixtures, validate_bell_pair)
 from .numerics import (
     SymmetricUnitary,
     check_int,
@@ -32,7 +32,7 @@ from .states import (PeakState, _check_eps0, bell_partner, char_fn, filter_varia
                      make_thermal, peak_layout)
 
 FAMILIES = ("three_peak", "five_peak")
-TRIAL_CHUNK = 1024   # trials whose draws, families and samplers a run holds at once
+TRIAL_ROWS = 1 << 16   # copy rows a chunk of trials draws and estimates at once
 STRATEGIES = ("ea_bell", "ef_heterodyne", "random")
 
 
@@ -189,14 +189,24 @@ def tvd_pair(density0, density_mixture, n_copies: int, gamma_draws,
 
     `density0` is the null single-copy density (a mixture, or blocks of
     (mixture, count) when copies differ); `density_mixture` maps gamma to the
-    matching (plus, minus) structure. Outcomes are drawn from the null and the
-    likelihood ratio is accumulated in log space; returns (tvd, stderr) with
-    the spread taken across gamma draws. `pair_log_values` evaluates each
-    (plus, minus) pair, so a +-gamma pair shares its phasors.
+    matching (plus, minus) structure. Returns (tvd, stderr), the spread taken
+    across gamma draws.
+
+    Each null block must be the plain Gaussian N_V (no oscillating terms, a
+    bracket of exactly 1, as every thermal null is), and each (plus, minus)
+    mixture must share its variance; anything else raises ValidationError.
+    Then log p_+-/p0 = log b_+-, which reads an outcome only through its
+    angles theta = [Re z | Im z] Phi, Gaussian under the null: for each gamma
+    and block, theta = w L is drawn from `mc_samples * count` rows of
+    standard normals w and the pair's factor L (`pair_projection`), with no
+    rejection and no Gaussian parts. A +-gamma pair shares its cos/sin.
     """
     if len(gamma_draws) < 1:
         raise ValidationError("tvd_pair needs at least one gamma draw")
     blocks0 = _as_blocks(density0, n_copies)
+    if not all(mix0.is_plain_gaussian for mix0, _ in blocks0):
+        raise ValidationError("tvd_pair needs each null block to be the plain Gaussian N_V, "
+                              "but a null block has oscillating terms")
     per_gamma = []
     for gamma in gamma_draws:
         pm_blocks = _as_blocks(density_mixture(np.asarray(gamma, dtype=complex)), n_copies)
@@ -206,12 +216,16 @@ def tvd_pair(density0, density_mixture, n_copies: int, gamma_draws,
         log_plus = np.zeros(mc_samples)
         log_minus = np.zeros(mc_samples)
         for (mix0, count), ((mix_p, mix_m), _) in zip(blocks0, pm_blocks):
-            z = mix0.sample(mc_samples * count, rng)
-            l0 = mix0.log_value(z).reshape(mc_samples, count).sum(axis=1)
-            lp, lm = (lv.reshape(mc_samples, count).sum(axis=1)
-                      for lv in pair_log_values(mix_p, mix_m, z))
-            log_plus += lp - l0
-            log_minus += lm - l0
+            if not mix_p.variance == mix_m.variance == mix0.variance:
+                raise ValidationError(
+                    f"the (plus, minus) mixtures' variances ({mix_p.variance}, "
+                    f"{mix_m.variance}) differ from the null's {mix0.variance}")
+            factor, mirrored = pair_projection(mix_p, mix_m)
+            theta = rng.standard_normal((mc_samples * count, factor.shape[0])) @ factor
+            lp, lm = (lb.reshape(mc_samples, count).sum(axis=1)
+                      for lb in pair_log_brackets(mix_p, mix_m, theta, mirrored))
+            log_plus += lp
+            log_minus += lm
         ratio = 0.5 * (np.exp(log_plus) + np.exp(log_minus))
         per_gamma.append(float(np.mean(np.maximum(0.0, 1.0 - ratio))))
     per_gamma = np.asarray(per_gamma)
@@ -233,31 +247,36 @@ def per_copy_tvd_bound(sigma_gamma2: float, n: int, eps0: float, copies: int):
 # The game
 # ---------------------------------------------------------------------------
 
+def _per_trial(means, to_alpha=lambda g: g):
+    """A block estimator: (T, count, n) outcomes and (T, n) gammas -> T estimates."""
+    return lambda outcomes, gammas: means(outcomes, to_alpha(gammas)[:, None])[:, 0]
+
+
 def _copy_blocks(cfg: GameConfig, weights: np.ndarray, centers: np.ndarray):
     """What Bob measures on his copies of each state (weights, centers[i]).
 
     Returns one list of blocks [(mixture, count, estimate)] per member.
-    `estimate(outcomes, gamma)` is the block's estimator (chi^2 for Bell, chi
-    for heterodyne) at the revealed gamma, as a length-1 array.
+    `estimate(outcomes, gammas)` is the block's estimator (chi^2 for Bell, chi
+    for heterodyne) at each trial's revealed gamma: outcomes (T, count, n) and
+    gammas (T, n) give T estimates.
     Bell pairs the state with `bell_partner`, its peaks at gamma*.
     Heterodyne measures the `o` copies of `order` as they are and the `r`
     copies reflected; a reflected copy's chi at U gamma* equals chi at gamma.
     Only blocks with copies are built; each block is one `peak_mixtures` call.
     """
     if cfg.bob == "ea_bell":
-        return [[(mix, cfg.copies, chi_squared_means)]
+        return [[(mix, cfg.copies, _per_trial(chi_squared_means))]
                 for mix in peak_mixtures("bell", cfg.nu, weights, centers)]
     n_o = (cfg.order * (cfg.copies // len(cfg.order) + 1))[:cfg.copies].count("o")
     columns = []
     if n_o:
-        columns.append([(mix, n_o, chi_heterodyne_means)
+        columns.append([(mix, n_o, _per_trial(chi_heterodyne_means))
                         for mix in peak_mixtures("heterodyne", cfg.nu, weights, centers)])
     if cfg.copies - n_o:
         # each peak (w, gamma) reflects to (w, U^T gamma*), as `reflect` maps it
         reflected = peak_mixtures("heterodyne", cfg.nu, weights, np.conj(centers) @ cfg.u.matrix)
-        columns.append([(mix, cfg.copies - n_o,
-                         lambda z, g: chi_heterodyne_means(z, cfg.u.matrix @ np.conj(g)))
-                        for mix in reflected])
+        estimate = _per_trial(chi_heterodyne_means, lambda g: np.conj(g) @ cfg.u.matrix.T)
+        columns.append([(mix, cfg.copies - n_o, estimate) for mix in reflected])
     return [list(blocks) for blocks in zip(*columns)]
 
 
@@ -281,19 +300,27 @@ def _peak_blocks(cfg: GameConfig, gammas: np.ndarray):
 def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
     """Play `trials` rounds; success counts exact hypothesis identification.
 
-    Trials are played in chunks of TRIAL_CHUNK, which bounds the memory a run
-    holds, and each chunk in three phases (`_play`):
+    Trials are played in chunks of max(1, TRIAL_ROWS // copies), so a chunk
+    draws at most TRIAL_ROWS copy rows (or one trial's copies) at once, and
+    each chunk c as arrays drawn from its own stream `make_rng(seed, stream=c)`
+    (`_play`), in this order:
 
-    1. each trial draws gamma, s and `peaked` from its own stream
-       `make_rng(seed, stream=t)`;
-    2. the window flags, gaps, chi0 = chi_thermal(gamma) and thresholds are
-       array operations over the chunk, and the copy blocks of its peaked
-       in-window trials are built as one family (`_peak_blocks`);
-    3. each trial samples its copies (or guesses) from its own stream, in the
-       order the stream had when trials were played one by one, and decides.
+    1. every trial's gamma, in one `sample_complex_gaussian` call;
+    2. every trial's sign, hypothesis and guess, in one `rng.random((3, T))`;
+    3. the copies of the thermal in-window trials, one `sample` call per
+       null block, reshaped to (trials, count, n);
+    4. the copies of the peaked in-window trials, member by member, from
+       their blocks built as one family (`_peak_blocks`).
+
+    Window flags, gaps, chi0 = chi_thermal(gamma), thresholds, each block's
+    estimates and the decisions are array operations over the chunk. So the
+    chunk size defines the stream: a run's first chunk plays as a run of that
+    many trials. Trials outside the window (and every `random` trial) use
+    their guess. Log entries are built only with `keep_log`.
 
     The TVD side estimate then builds the states at +-gamma of all its draws
-    as one family as well.
+    as one family, and `tvd_pair` draws the thermal null through each pair's
+    projection.
     """
     thermal = make_thermal(cfg.n, cfg.nu)
     # Built once: every thermal trial and the TVD's null share these blocks.
@@ -303,13 +330,13 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
     correct = 0
     window_hits = 0
     log = []
-    for start in range(0, cfg.trials, TRIAL_CHUNK):
-        for entry in _play(cfg, thermal, null_blocks,
-                           range(start, min(start + TRIAL_CHUNK, cfg.trials))):
-            correct += entry["correct"]
-            window_hits += entry["in_window"]
-            if keep_log:
-                log.append(entry)
+    per_chunk = max(1, TRIAL_ROWS // cfg.copies)
+    for chunk, start in enumerate(range(0, cfg.trials, per_chunk)):
+        hits, wins, entries = _play(cfg, thermal, null_blocks, make_rng(cfg.seed, stream=chunk),
+                                    range(start, min(start + per_chunk, cfg.trials)), keep_log)
+        correct += hits
+        window_hits += wins
+        log += entries
 
     tvd, tvd_se = 0.0, 0.0
     if cfg.estimate_tvd and cfg.bob != "random":
@@ -318,51 +345,58 @@ def run_game(cfg: GameConfig, keep_log: bool = True) -> GameResult:
     return GameResult(success_rate=correct / cfg.trials,
                       window_hit_rate=window_hits / cfg.trials,
                       empirical_tvd=tvd, tvd_stderr=tvd_se,
-                      trials=cfg.trials, copies=cfg.copies,
-                      per_trial=log if keep_log else [])
+                      trials=cfg.trials, copies=cfg.copies, per_trial=log)
 
 
-def _play(cfg: GameConfig, thermal: PeakState, null_blocks, trials: range) -> list[dict]:
-    """The log entries of `trials`, played in the three phases of `run_game`."""
-    rngs, gammas, signs, peaked = [], [], [], []
-    for t in trials:
-        rng = make_rng(cfg.seed, stream=t)
-        gammas.append(sample_complex_gaussian(cfg.n, cfg.sigma_gamma2, 1, rng)[0])
-        signs.append(1 if rng.random() < 0.5 else -1)
-        peaked.append(bool(rng.random() < 0.5))
-        rngs.append(rng)
-
-    gammas = np.array(gammas)
+def _play(cfg: GameConfig, thermal: PeakState, null_blocks, rng: np.random.Generator,
+          trials: range, keep_log: bool):
+    """(correct, in-window, log entries) of one chunk of `trials`, as `run_game` plays it."""
+    size = len(trials)
+    gammas = sample_complex_gaussian(cfg.n, cfg.sigma_gamma2, size, rng)
+    positive, peaked, guess = rng.random((3, size)) < 0.5
+    signs = np.where(positive, 1, -1)
     in_window, gap = _windows_and_gaps(cfg, gammas)
     estimating = in_window & (cfg.bob != "random")
     # the peaked chi at gamma is chi0 + i gap; Bell pairs estimate its square
     chi0 = char_fn(thermal, gammas)
     p = 2 if cfg.bob == "ea_bell" else 1
     target = chi0 ** p
-    thresholds = (np.abs((chi0 + 1j * gap) ** p - target) / 2.0).tolist()
-    target = target.tolist()
-    blocks = [null_blocks] * len(trials)
-    hit = np.flatnonzero(estimating & np.array(peaked))
-    if hit.size:
-        for i, peak_blocks in zip(hit, _peak_blocks(cfg, np.array(signs)[hit, None] * gammas[hit])):
-            blocks[i] = peak_blocks
+    thresholds = np.abs((chi0 + 1j * gap) ** p - target) / 2.0
 
+    est = np.zeros(size, dtype=complex)
+    null = np.flatnonzero(estimating & ~peaked)
+    if null.size:
+        for mix, count, estimate in null_blocks:
+            outcomes = mix.sample(null.size * count, rng, dtype=np.float32)
+            est[null] += count * estimate(outcomes.reshape(null.size, count, cfg.n), gammas[null])
+    hit = np.flatnonzero(estimating & peaked)
+    if hit.size:
+        members = _peak_blocks(cfg, signs[hit, None] * gammas[hit])
+        draws = [[mix.sample(count, rng, dtype=np.float32) for mix, count, _ in blocks]
+                 for blocks in members]
+        for b, (_, count, estimate) in enumerate(members[0]):
+            est[hit] += count * estimate(np.stack([d[b] for d in draws]), gammas[hit])
+    est /= cfg.copies
+    decision = np.where(estimating, np.abs(est - target) > thresholds, guess)
+    correct = decision == peaked
+    entries = _log_entries(trials, gammas, signs, peaked, in_window, estimating, est,
+                           thresholds, decision, correct) if keep_log else []
+    return int(correct.sum()), int(in_window.sum()), entries
+
+
+def _log_entries(trials, gammas, signs, peaked, in_window, estimating, est, thresholds,
+                 decision, correct) -> list[dict]:
+    """One log entry per trial, in plain Python types."""
     entries = []
-    for i, (t, rng) in enumerate(zip(trials, rngs)):
-        gamma = gammas[i]
-        entry = {"trial": t, "peaked": peaked[i], "s": signs[i], "in_window": bool(in_window[i]),
-                 "gamma": [[z.real, z.imag] for z in gamma]}
-        if not estimating[i]:
-            decision = bool(rng.random() < 0.5)
-            entry.update(used_estimate=False)
-        else:
-            est = complex(sum(count * estimate(mix.sample(count, rng, dtype=np.float32), gamma)[0]
-                              for mix, count, estimate in blocks[i])) / cfg.copies
-            decision = abs(est - target[i]) > thresholds[i]
-            entry.update(used_estimate=True, estimate=[est.real, est.imag],
-                         threshold=thresholds[i])
-        entry.update(decision="peaked" if decision else "thermal",
-                     correct=decision == peaked[i])
+    for t, gamma, s, pk, win, used, e, th, dec, ok in zip(
+            trials, gammas.tolist(), signs.tolist(), peaked.tolist(), in_window.tolist(),
+            estimating.tolist(), est.tolist(), thresholds.tolist(), decision.tolist(),
+            correct.tolist()):
+        entry = {"trial": t, "peaked": pk, "s": s, "in_window": win,
+                 "gamma": [[z.real, z.imag] for z in gamma], "used_estimate": used}
+        if used:
+            entry.update(estimate=[e.real, e.imag], threshold=th)
+        entry.update(decision="peaked" if dec else "thermal", correct=ok)
         entries.append(entry)
     return entries
 

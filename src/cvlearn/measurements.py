@@ -65,17 +65,12 @@ class SignedGaussianMixture:
 
         x_0 = 1 never multiplies (terms with a = 0 are linear), so it is None.
         """
-        dt = re.dtype.type
-        x = [None]
         if not self._phase.shape[1]:
-            return x
-        phase = self._phase.astype(dt)
+            return [None]
+        phase = self._phase.astype(re.dtype.type)
         theta = re @ phase[:self.n]
         theta += im @ phase[self.n:]
-        for col in theta.T:
-            col = np.ascontiguousarray(col)
-            x += [np.cos(col), np.sin(col)]
-        return x
+        return _angle_phasors(theta)
 
     def _fold(self, x: list, rows: int, dt) -> np.ndarray:
         """x^T Q x over `rows` outcomes from their phasors x (`_phasors`), in dtype dt."""
@@ -91,6 +86,11 @@ class SignedGaussianMixture:
         """x^T Q x at outcomes re + i im (each (m, n)), in their own dtype."""
         return self._fold(self._phasors(re, im), re.shape[0], re.dtype.type)
 
+    @property
+    def is_plain_gaussian(self) -> bool:
+        """True when the bracket is exactly 1, so the density is N_V itself."""
+        return not self._phase.shape[1] and not self._terms and self._const == 1.0
+
     def _log_gauss(self, z: np.ndarray) -> np.ndarray:
         return (-np.sum(np.abs(z) ** 2, axis=1) / (2.0 * self.variance)
                 - self.n * np.log(2.0 * np.pi * self.variance))
@@ -103,7 +103,7 @@ class SignedGaussianMixture:
     def log_value(self, zeta) -> np.ndarray:
         """log density, stable for product accumulation over many copies."""
         z = np.atleast_2d(np.asarray(zeta, dtype=complex))
-        return _log_density(self._log_gauss(z), self._bracket(z.real, z.imag))
+        return self._log_gauss(z) + _log_bracket(self._bracket(z.real, z.imag))
 
     # -- sampling -----------------------------------------------------------
     def sample(self, count: int, rng: np.random.Generator,
@@ -157,30 +157,49 @@ class SignedGaussianMixture:
         return out
 
 
-def _log_density(log_gauss: np.ndarray, bracket: np.ndarray) -> np.ndarray:
-    return log_gauss + np.log(np.maximum(bracket, 1e-300))
+def _log_bracket(bracket: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(bracket, 1e-300))
 
 
-def pair_log_values(plus: SignedGaussianMixture, minus: SignedGaussianMixture, zeta):
-    """(plus.log_value(zeta), minus.log_value(zeta)), bit for bit, sharing their work.
+def _angle_phasors(theta: np.ndarray) -> list:
+    """x = [None, cos th_1, sin th_1, ...] from the angles theta (rows, R), one column per pair."""
+    x = [None]
+    for col in theta.T:
+        col = np.ascontiguousarray(col)
+        x += [np.cos(col), np.sin(col)]
+    return x
 
-    When minus's phase map is exactly plus's negated, as for the states at
-    +gamma and -gamma of one peak layout, its angles are plus's negated exactly
-    (negation commutes with every rounding of the product), so it takes plus's
-    cosines and their sines negated. Equal variances share the Gaussian part.
-    Any other pair computes its own phasors.
+
+def pair_projection(plus: SignedGaussianMixture, minus: SignedGaussianMixture):
+    """(L, mirrored): the angles of a (plus, minus) pair at z ~ N_V are w @ L, w ~ N(0, I_k).
+
+    The brackets read z only through theta = [Re z | Im z] @ Phi. When minus's
+    phase map is exactly plus's negated (`mirrored`, the states at +gamma and
+    -gamma of one peak layout), Phi is plus's and minus's angles are its
+    negation; otherwise Phi = [Phi_plus | Phi_minus]. Under the isotropic
+    N_V of plus's variance theta is Gaussian with covariance V Phi^T Phi, so
+    L = sqrt(V) R with R = qr(Phi, "r"): L^T L = V Phi^T Phi, k = min(2n, columns).
     """
-    z = np.atleast_2d(np.asarray(zeta, dtype=complex))
-    gauss = plus._log_gauss(z)
-    x = plus._phasors(z.real, z.imag)
-    if np.array_equal(minus._phase, -plus._phase):
+    mirrored = np.array_equal(minus._phase, -plus._phase)
+    phi = plus._phase if mirrored else np.concatenate([plus._phase, minus._phase], axis=1)
+    return np.sqrt(plus.variance) * np.linalg.qr(phi, mode="r"), mirrored
+
+
+def pair_log_brackets(plus: SignedGaussianMixture, minus: SignedGaussianMixture,
+                      theta: np.ndarray, mirrored: bool):
+    """(log b_plus, log b_minus) at the angles theta (rows, columns of L) of `pair_projection`.
+
+    A mirrored pair shares plus's cosines and negates its sines.
+    """
+    rows, split = len(theta), plus._phase.shape[1]
+    x = _angle_phasors(theta[:, :split])
+    if mirrored:
         x_minus = list(x)   # [None, cos th_1, sin th_1, ...]: negate every sin
         x_minus[2::2] = [-sin for sin in x[2::2]]
     else:
-        x_minus = minus._phasors(z.real, z.imag)
-    return (_log_density(gauss, plus._fold(x, len(z), np.float64)),
-            _log_density(gauss if minus.variance == plus.variance else minus._log_gauss(z),
-                         minus._fold(x_minus, len(z), np.float64)))
+        x_minus = _angle_phasors(theta[:, split:])
+    return (_log_bracket(plus._fold(x, rows, np.float64)),
+            _log_bracket(minus._fold(x_minus, rows, np.float64)))
 
 
 def mixture_family(n: int, variance: float, freqs, coefs) -> list[SignedGaussianMixture]:

@@ -243,6 +243,21 @@ class TestPhaseFactorSums:
         assert het.shape == (600,) and chi2.shape == (3,)
 
 
+    @pytest.mark.parametrize("means", [chi_squared_means, chi_heterodyne_means])
+    @pytest.mark.parametrize("outcome_dtype", [complex, np.complex64])
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_trial_axis_equals_per_trial_calls(self, means, outcome_dtype, chunk):
+        # Outcomes (T, N, n) with alphas (T, M, n): trial t's means are the
+        # 2-D call on its own outcomes and alphas, the game's complex64 copies included.
+        rng = make_rng(53)
+        z = (rng.normal(size=(6, 50, 2)) + 1j * rng.normal(size=(6, 50, 2))).astype(outcome_dtype)
+        pts = 0.4 * (rng.normal(size=(6, 3, 2)) + 1j * rng.normal(size=(6, 3, 2)))
+        got = means(z, pts, chunk=chunk)
+        want = np.array([means(zt, at, chunk=chunk) for zt, at in zip(z, pts)])
+        assert got.shape == (6, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestEstimateRecord:
     def records(self):
         st = make_three_peak(2, 0.7, 0.2, np.array([0.8 + 0.3j, -0.4j]))

@@ -525,6 +525,12 @@ class TestStreamedOracle:
         assert rep["min_eigenvalue"] >= -1e-9
         assert peak <= 8 * 2 ** 20
 
+    def test_warm_thermal_kept_block_is_held_once(self):
+        # 1917 kept rows: one complex K x K block is 56 MiB, two would be 112
+        rep, peak = _traced_oracle_check(make_thermal(2, 0.8))
+        assert rep["kept_rows"] == 1917
+        assert peak <= 85 * 2 ** 20
+
     def test_oracle_pass_leaves_dense_matrix_unformed(self):
         st = _benchmark_oracle_states(7)[1]
         fm = build_state(st)

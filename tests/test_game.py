@@ -5,6 +5,7 @@ assertions below are reproducible; margins were sized at >= 3 binomial
 standard errors when the seeds were frozen.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -254,62 +255,69 @@ class TestRunGame:
         members = [id(mix) for mixes in families for mix in mixes]
         assert len(set(members)) == len(members) == blocks * (peaked + 2 * cfg.tvd_gamma_draws)
 
-    def test_chunks_change_no_trial(self, monkeypatch):
-        # Chunks of trials, and of family members, leave every draw and decision as is.
+    def test_chunk_defines_the_stream(self, monkeypatch):
+        # Each chunk of trials draws from its own stream, so a run's first chunk
+        # plays exactly as a run of that many trials; chunks of family members
+        # leave every draw and decision as is.
         u = random_symmetric_unitary(2, make_rng(19))
         cfg = GameConfig(family="five_peak", n=2, nu=0.9, eps0=0.25, kappa=2.0, copies=8,
                          u=u, trials=40, bob="ea_bell", seed=20, tvd_gamma_draws=5,
                          tvd_mc_samples=10)
         whole = run_game(cfg)
-        monkeypatch.setattr(game, "TRIAL_CHUNK", 7)
+        first = run_game(dataclasses.replace(cfg, trials=7))
         monkeypatch.setattr(measurements, "FAMILY_CHUNK", 3)
+        family_chunked = run_game(cfg)
+        assert family_chunked.per_trial == whole.per_trial
+        assert (family_chunked.empirical_tvd, family_chunked.tvd_stderr) == (
+            whole.empirical_tvd, whole.tvd_stderr)
+        monkeypatch.setattr(game, "TRIAL_ROWS", 7 * cfg.copies + 3)   # 7 trials per chunk
         chunked = run_game(cfg)
-        assert chunked.per_trial == whole.per_trial
-        assert (chunked.empirical_tvd, chunked.tvd_stderr) == (whole.empirical_tvd,
-                                                               whole.tvd_stderr)
+        assert chunked.per_trial[:7] == first.per_trial
+        assert [e["trial"] for e in chunked.per_trial] == list(range(cfg.trials))
+        assert chunked.per_trial[7:] != whole.per_trial[7:]
+        assert any(e["used_estimate"] and e["peaked"] for e in first.per_trial)
+        assert any(e["used_estimate"] and not e["peaked"] for e in first.per_trial)
 
 
 # Per-trial decisions ("p" peaked, "t" thermal), window flags, thresholds of the
-# trials that estimate, and (empirical_tvd, tvd_stderr). The window flags and
-# thresholds are as the trial-by-trial game computed them before its copy
-# blocks were built as one family; they draw no copies. The decisions and the
-# TVD were pinned again when the sampler's proposal batch lost its 2048-row
-# floor, which changed the streams of every sample call below that size.
+# trials that estimate, and (empirical_tvd, tvd_stderr). Pinned again when each
+# chunk of trials came to draw from one stream and the TVD came to draw the
+# thermal null through each pair's projection, which changed every trial's
+# draws and the TVD's.
 PINNED_GAMES = [
     (("three_peak", "ea_bell", "o", 1),
-     "tpptppttpttptppppppptttpppttpptppptppppt", "0000110010111110111000001100110001001011",
-     [0.13496914818787714, 0.1192199513871329, 0.10699618820830178, 0.11352014317780516,
-      0.10329451007403476, 0.1281026942314511, 0.10169934921235199, 0.10898800960980932,
-      0.20959302964796478, 0.10428636872332728, 0.11109757368459557, 0.11395445194727477,
-      0.13584942769673586, 0.11335576694550523, 0.11294952714293405, 0.10984051715821308,
-      0.10395505897783129, 0.1030745411897512, 0.14509504908227347],
-     (0.466700222121401, 0.04355769497070042)),
+     "pppppttpppppppppppptppttptptptttppppptpp", "1100001001100010111100001000000011101111",
+     [0.1344701902710958, 0.15397705918922713, 0.1868574064357118, 0.12650062438509188,
+      0.10819411058966973, 0.10972163806991697, 0.10267105540592547, 0.10816254150195259,
+      0.10702616193862789, 0.11206672443420385, 0.10400716992928136, 0.11066518779464993,
+      0.12074922630548582, 0.10475524093519914, 0.1428163906166526, 0.11118100025363338,
+      0.10811216259786818, 0.1143331131838356],
+     (0.4613204389851816, 0.04340152177114824)),
     (("three_peak", "ef_heterodyne", "o", 2),
-     "pttppppppttpppptttppptptpptpppppppppptpp", "1000110110111111001100101111110001111011",
-     [0.20752032615290625, 0.2334726719388339, 0.21646050054202184, 0.2204931968622757,
-      0.2302199076591635, 0.2356350166511441, 0.22412538411133495, 0.24270611548687224,
-      0.2253422497242018, 0.20424176597222019, 0.24102341120371634, 0.22643651802473513,
-      0.215770316233128, 0.2083394719366616, 0.23196796368361608, 0.22521766957447756,
-      0.23733825038309295, 0.21231763195701558, 0.23131897844911684, 0.23454753571899928,
-      0.2084197359326604, 0.2100948874217594, 0.2052021521351188, 0.22201932268604915,
-      0.20484887727245316, 0.23691554062154271],
-     (0.010836295376618054, 0.007176464517885022)),
+     "ppppppttppppppptpttpppppptppppptpttppptt", "0011110011011011100011010001111000001100",
+     [0.22003296666149966, 0.23351641131698594, 0.23209130953275672, 0.2376399817162702,
+      0.20626222779264267, 0.21460886745529786, 0.21184014139831028, 0.20483407453991528,
+      0.20629667212248862, 0.21321202526074168, 0.21939368853205057, 0.2263350426846147,
+      0.20886674475883107, 0.21841192665159925, 0.21787018043811013, 0.20254265893525028,
+      0.21994729801517965, 0.2201907238128294, 0.23491745935403233, 0.23436905967602376],
+     (0.008987903509832232, 0.005888189106927373)),
     (("five_peak", "ea_bell", "o", 2),
-     "pttpppppptpppptpttppptttppppptpppppptptp", "1000110110100101001100001111100111110101",
-     [0.025163146892465998, 0.029867192864093835, 0.025790294527351532, 0.02608308847774572,
-      0.028052953114911575, 0.03020030793096313, 0.02719825027479251, 0.06135345029228182,
-      0.027434467412882715, 0.025679397572888417, 0.028327304650693122, 0.02698728108318287,
-      0.062405834562318234, 0.025133023989819932, 0.028258621522166443, 0.022988159136093658,
-      0.02225167760686092, 0.024581419961016593, 0.024782855221037056, 0.024016403052209267,
-      0.022871143188418167, 0.029794578958760087],
-     (0.1658499271620137, 0.026380077509501866)),
+     "pptpppttpppttppppttpppppptppppttpttppppt", "1001010011000101100010010001110000001010",
+     [0.023462091945209828, 0.04247472227917366, 0.050546241306607266,
+      0.024349262869402342, 0.025495319335295225, 0.022931075415313383,
+      0.02527429323480242, 0.026255926781376792, 0.0364882344490914, 0.026160980405437666,
+      0.026013292105581974, 0.02360217464925435, 0.029944199679783786,
+      0.028465497940682125, 0.02193162459358258],
+     (0.19362823918112654, 0.02519506984629158)),
     (("five_peak", "ef_heterodyne", "or", 1),
-     "tpptpptptttppptppttpttppptttpttppttppppp", "0000000110010000000100101000110000001010",
-     [0.12340574897480165, 0.11866945193893084, 0.1751769071323804, 0.116375669787296,
-      0.11543696902840428, 0.1839323397276547, 0.125084120955105, 0.1240645159735644,
-      0.11755332617614536, 0.11723367530403221],
-     (0.15433528199065466, 0.061169950444617295)),
+     "ppppptppppppppppttppppttptptpttttppppppp", "1000000001100010011100001000000000111111",
+     [0.15008573629846134, 0.156600043869995, 0.12016526839963902, 0.11930302726059215,
+      0.20528297520109584, 0.1187496221024774, 0.12375737822505255, 0.17388000666017445,
+      0.12367995653892006, 0.11540103090405399, 0.22654501484368159, 0.11921555966597076,
+      0.11914057093546422, 0.24243907969866652],
+     (0.14085498118694195, 0.03948925459786237)),
 ]
+
 
 
 @pytest.mark.parametrize("case, decisions, windows, thresholds, tvd", PINNED_GAMES,
@@ -359,8 +367,9 @@ class TestThresholds:
 
 
 def reference_tvd(density0, density_mixture, n_copies, gamma_draws, mc_samples, rng):
-    """tvd_pair's loop with each of the null, plus and minus mixtures evaluated
-    by its own log_value; one block of copies."""
+    """tvd_pair's estimate the long way: outcomes sampled from the null by
+    rejection, and the null, plus and minus mixtures each evaluated by its own
+    log_value; one block of copies."""
     per_gamma = []
     for gamma in gamma_draws:
         plus, minus = density_mixture(gamma)
@@ -396,18 +405,37 @@ class TestTvdMatchesReference:
     @pytest.mark.parametrize("family", ["three_peak", "five_peak"])
     @pytest.mark.parametrize("bob", ["ea_bell", "ef_heterodyne"])
     @pytest.mark.parametrize("mirrored", [True, False])
-    def test_equals_reference(self, family, bob, mirrored):
-        # The +-gamma pairs share phasors; the pairs at gamma and i gamma / 2
-        # evaluate their own. Either way the estimate is the reference's, bit for bit.
+    def test_projection_factor(self, family, bob, mirrored):
+        # theta = w L with L^T L = V Phi^T Phi: the covariance of [Re z | Im z] Phi
+        # under the null N_V. The +-gamma pairs share Phi; the pairs at gamma
+        # and i gamma / 2 stack both maps.
         u = random_symmetric_unitary(2, make_rng(70))
         pm = self.mixture_pair(family, bob, u, (lambda g: -g) if mirrored else (lambda g: 0.5j * g))
-        gammas = sample_complex_gaussian(2, 0.99, 5, make_rng(71))
-        plus, minus = pm(gammas[0])
-        assert np.array_equal(minus._phase, -plus._phase) == mirrored
+        for gamma in sample_complex_gaussian(2, 0.99, 5, make_rng(71)):
+            plus, minus = pm(gamma)
+            factor, got_mirrored = measurements.pair_projection(plus, minus)
+            assert got_mirrored == mirrored
+            phi = plus._phase if mirrored else np.hstack([plus._phase, minus._phase])
+            assert factor.shape == (min(4, phi.shape[1]), phi.shape[1])
+            assert np.max(np.abs(factor.T @ factor - plus.variance * phi.T @ phi)) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["three_peak", "five_peak"])
+    @pytest.mark.parametrize("bob", ["ea_bell", "ef_heterodyne"])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_equals_reference(self, family, bob, mirrored):
+        # Equal within Monte Carlo error: one gamma repeated 40 times, so the
+        # spread across draws is that error alone, and the projected draw and
+        # the reference, which samples the null by rejection and evaluates every
+        # log density, must agree within 4 combined standard errors. Seeds and
+        # tolerance were fixed before the first run.
+        u = random_symmetric_unitary(2, make_rng(70))
+        pm = self.mixture_pair(family, bob, u, (lambda g: -g) if mirrored else (lambda g: 0.5j * g))
+        gammas = [sample_complex_gaussian(2, 0.99, 1, make_rng(71))[0]] * 40
         null = self.null(bob, 2)
-        got = tvd_pair(null, pm, 7, gammas, 30, make_rng(72))
-        assert got == reference_tvd(null, pm, 7, gammas, 30, make_rng(72))
-        assert got[0] > 0.0
+        got, got_se = tvd_pair(null, pm, 7, gammas, 100, make_rng(72))
+        ref, ref_se = reference_tvd(null, pm, 7, gammas, 100, make_rng(73))
+        assert got > 0.0 and got_se > 0.0 and ref_se > 0.0
+        assert abs(got - ref) <= 4.0 * math.hypot(got_se, ref_se)
 
 
 class TestTvd:
@@ -444,6 +472,24 @@ class TestTvd:
         q0 = heterodyne_mixture(make_thermal(1, 0.9))
         with pytest.raises(ValidationError, match="at least one gamma draw"):
             tvd_pair(q0, lambda g: (q0, q0), 5, [], 10, make_rng(1))
+
+    def test_null_must_be_plain_gaussian(self):
+        nu = 0.9
+        peaked = heterodyne_mixture(make_three_peak(1, nu, 0.25, np.array([0.5 + 0j])))
+        with pytest.raises(ValidationError, match="null block has oscillating terms"):
+            tvd_pair(peaked, lambda g: (peaked, peaked), 5, [np.array([0.5 + 0j])], 10,
+                     make_rng(1))
+
+    def test_mixture_variance_must_match_the_null(self):
+        # Bell mixtures have variance a, heterodyne ones t/2: a heterodyne null
+        # cannot stand under a Bell (plus, minus) pair
+        nu, g = 0.9, np.array([0.5 + 0j])
+        q0 = heterodyne_mixture(make_thermal(1, nu))
+        st = make_three_peak(1, nu, 0.25, g)
+        bell = bell_mixture(st, bell_partner(st, random_symmetric_unitary(1, make_rng(2))))
+        assert bell.variance != q0.variance
+        with pytest.raises(ValidationError, match="variances .* differ from the null's"):
+            tvd_pair(q0, lambda g: (bell, bell), 5, [g], 10, make_rng(1))
 
     def test_block_misalignment_rejected(self):
         nu = 0.9
