@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -29,6 +29,7 @@ ENVELOPE_GUARD = {np.float64: 1e-9, np.float32: 3e-6}
 PAIR_TOL = 1e-10    # |f_j + f_partner| and |Im Q| allowed by Hermitian pairing
 FAMILY_CHUNK = 256  # members built at once by peak_mixtures
 SAMPLE_BLOCK = 1 << 16  # largest block of proposal rows sample draws and tests at once
+RECORD_BLOCK = 1 << 14  # record rows written or read at once
 
 
 def phase_matrix(freqs) -> np.ndarray:
@@ -388,16 +389,19 @@ class MeasurementRecord:
         return self.outcomes.shape[0]
 
     def write_jsonl(self, path):
+        import orjson   # loaded on first use, so importing the CLI stays light
         header = {"scheme": self.scheme, "n": self.n, "seed": self.seed,
                   "count": self.count, "state_descriptor": self.state_descriptor}
-        # %r is the float repr json.dumps writes, so each row reads as
-        # json.dumps([re_1, im_1, ..., re_n, im_n]); one % over the repeated
-        # row template formats the whole body without a container per row
-        template = "[" + ", ".join(["%r"] * (2 * self.n)) + "]\n"
-        floats = tuple(np.ascontiguousarray(self.outcomes).view(float).ravel().tolist())
-        with open(path, "w") as fh:
-            fh.write(json.dumps(header) + "\n")
-            fh.write(template * self.count % floats)
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n")
+            for start in range(0, self.count, RECORD_BLOCK):
+                rows = np.ascontiguousarray(self.outcomes[start:start + RECORD_BLOCK])
+                # orjson writes [[re_1,im_1,...],[...]] in shortest round-trip
+                # digits; dropping the outer brackets and breaking each "],["
+                # leaves one row per line
+                body = orjson.dumps(rows.view(float), option=orjson.OPT_SERIALIZE_NUMPY)
+                fh.write(memoryview(body.replace(b"],[", b"]\n["))[1:-1])
+                fh.write(b"\n")
 
     @staticmethod
     def read_jsonl(path) -> "MeasurementRecord":
@@ -406,43 +410,51 @@ class MeasurementRecord:
         The header line is one JSON object. Every non-blank line after it
         must be one flat JSON array of 2n numbers, [re_1, im_1, ..., re_n,
         im_n]; whitespace around a line is ignored. The outcomes read back
-        bit for bit, signed zeros included.
+        bit for bit, signed zeros included. The body is read RECORD_BLOCK
+        lines at a time, so memory beyond the outcomes stays bounded.
         """
-        with open(path) as fh:
-            header_line = fh.readline()
-            lines = [line for line in map(str.strip, fh) if line]
-        rows = len(lines)
-        text = "\n".join(lines)
-        try:
-            header = json.loads(header_line)
-            scheme = header["scheme"]
-            n, count, seed = (header[k] for k in ("n", "count", "seed"))
-            for key, value, low in (("n", n, 1), ("count", count, 1), ("seed", seed, 0)):
-                check_int(value, f"record header {key}", low)
-            # every line must hold exactly one flat array of 2n values, as one
-            # json.loads per line would demand. With a "[" opening the text,
-            # a "]" closing it and every newline inside a "]\n[", each line
-            # opens and closes one array, and the bracket counts leave none
-            # inside it; the commas fix each line's width, which the total
-            # alone would not (rows of 3 and 1 values pass on their sum)
-            if rows and not (text[0] == "[" and text[-1] == "]"
-                             and text.count("[") == text.count("]") == rows
-                             == text.count("]\n[") + 1
-                             and set(map(str.count, lines, repeat(","))) == {2 * n - 1}):
-                raise ValueError(f"each row must be one JSON array of {2 * n} numbers "
-                                 "on its own line")
-            values = json.loads(text.replace("]\n[", ", ") or "[]")
-            data = np.array(values, dtype=float).reshape(rows, 2 * n)
-        except KeyError as exc:
-            raise ValidationError(f"record header lacks {exc}") from exc
-        except (OverflowError, TypeError, ValueError) as exc:   # overflow: int too big for float
-            raise ValidationError(f"malformed measurement record {path}: {exc}") from exc
-        if rows != count:
+        with open(path, "rb") as fh:
+            try:
+                header = json.loads(fh.readline().decode())
+                scheme = header["scheme"]
+                n, count, seed = (header[k] for k in ("n", "count", "seed"))
+                for key, value, low in (("n", n, 1), ("count", count, 1), ("seed", seed, 0)):
+                    check_int(value, f"record header {key}", low)
+                blocks = []
+                while raw := list(islice(fh, RECORD_BLOCK)):
+                    if lines := [line for line in map(bytes.strip, raw) if line]:
+                        blocks.append(_parse_rows(lines, 2 * n))
+                data = np.concatenate(blocks) if blocks else np.empty((0, 2 * n))
+            except KeyError as exc:
+                raise ValidationError(f"record header lacks {exc}") from exc
+            except (OverflowError, TypeError, ValueError) as exc:   # a bad byte, number or size
+                raise ValidationError(f"malformed measurement record {path}: {exc}") from exc
+        if len(data) != count:
             raise ValidationError(
-                f"record header says {count} outcomes but {rows} rows follow")
+                f"record header says {count} outcomes but {len(data)} rows follow")
         return MeasurementRecord(scheme=scheme, outcomes=data.view(complex),
                                  state_descriptor=header.get("state_descriptor", {}),
                                  seed=seed, n=n)
+
+
+def _parse_rows(lines: list, width: int) -> np.ndarray:
+    """(len(lines), width) floats from stripped lines, each one flat JSON array."""
+    import orjson
+    text = b"\n".join(lines)
+    # every line must hold exactly one flat array of `width` values, as one
+    # json.loads per line would demand. With a "[" opening the text, a "]"
+    # closing it and every newline inside a "]\n[", each line opens and
+    # closes one array, and the bracket counts leave none inside it; the
+    # commas fix each line's width, which the total alone would not (rows of
+    # 3 and 1 values pass on their sum)
+    if not (text.startswith(b"[") and text.endswith(b"]")
+            and text.count(b"[") == text.count(b"]") == len(lines)
+            == text.count(b"]\n[") + 1
+            and set(map(bytes.count, lines, repeat(b","))) == {width - 1}):
+        raise ValueError(f"each row must be one JSON array of {width} numbers "
+                         "on its own line")
+    values = orjson.loads(text.replace(b"]\n[", b","))
+    return np.array(values, dtype=float).reshape(len(lines), width)
 
 
 def sample_bell(state: PeakState, reflected_then_circuit: PeakState, count: int,

@@ -319,19 +319,24 @@ class TestExitCodes:
 
 # Runs in a fresh interpreter: the CLI round trips of both schemes, then the
 # three SciPy-backed routines, each of which imports SciPy on first call.
+# orjson, the record codec, must load with the first record and not before.
 COLD_START = """
 import json, sys
 import cvlearn, cvlearn.cli
 from cvlearn import fock_oracle, numerics, states
 
+orjson_on_import = "orjson" in sys.modules
 for args in ROUND_TRIPS:
     assert cvlearn.cli.main(args) == 0, args
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+orjson_after_round_trips = "orjson" in sys.modules
 u = numerics.random_symmetric_unitary(2, numerics.make_rng(5))
 v = numerics.takagi_decompose(u).v
 state = states.make_three_peak(1, 0.5, 0.2, [0.8])
 print(json.dumps({
     "scipy_loaded": loaded,
+    "orjson_on_import": orjson_on_import,
+    "orjson_after_round_trips": orjson_after_round_trips,
     "q": numerics.regularized_upper_gamma(2.5, 1.3),
     "v": [[z.real, z.imag] for z in v.ravel().tolist()],
     "oracle": fock_oracle.oracle_check(state, rng=numerics.make_rng(0)),
@@ -374,6 +379,8 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
         assert got["scipy_loaded"] == []
+        # the record codec loads orjson on first use, not on import
+        assert not got["orjson_on_import"] and got["orjson_after_round_trips"]
 
         # the same commands in this process, where SciPy is loaded, write the same bytes
         for args in _round_trips(warm):
@@ -431,6 +438,19 @@ class TestInputErrors:
         rc = main(["estimate", "--record", str(rec), "--points", str(pts),
                    "--scheme", "heterodyne", "--out", str(tmp_path / "e.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("line", [0, 4])   # the header, then a row
+    def test_record_not_utf8_is_2(self, tmp_path, capsys, line):
+        rec, pts = self._record_and_points(tmp_path)
+        lines = rec.read_bytes().splitlines(keepends=True)
+        lines[line] = lines[line][:4] + b"\xff" + lines[line][4:]
+        rec.write_bytes(b"".join(lines))
+        out = tmp_path / "e.json"
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "heterodyne", "--out", str(out)])
+        assert rc == 2
+        assert "malformed measurement record" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_state_is_2(self, tmp_path):
         rc = main(["sample", "--state", str(tmp_path / "nope.json"), "--scheme", "bell",

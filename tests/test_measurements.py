@@ -11,6 +11,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 
 from cvlearn.errors import ValidationError, NumericFailure
@@ -619,7 +620,7 @@ class TestRecordChecks:
             MeasurementRecord.read_jsonl(path)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_written_bytes_match_json_dumps_per_row(self, tmp_path, n):
+    def test_written_bytes_match_orjson_per_row(self, tmp_path, n):
         rng = make_rng(11)
         z = rng.normal(size=(50, 2 * n)) * 10.0 ** rng.integers(-8, 8, size=(50, 2 * n)) \
             + 1j * rng.normal(size=(50, 2 * n))
@@ -632,12 +633,58 @@ class TestRecordChecks:
         rec.write_jsonl(path)
         header = {"scheme": "bell", "n": n, "seed": 9, "count": 50,
                   "state_descriptor": {"k": [1, 2]}}
-        expect = json.dumps(header) + "\n" + "".join(
-            json.dumps([v for c in row for v in (float(c.real), float(c.imag))]) + "\n"
+        expect = (json.dumps(header) + "\n").encode() + b"".join(
+            orjson.dumps([v for c in row for v in (float(c.real), float(c.imag))]) + b"\n"
             for row in rec.outcomes)
-        assert path.read_bytes() == expect.encode()
+        assert path.read_bytes() == expect
         back = MeasurementRecord.read_jsonl(path)
         assert np.array_equal(back.outcomes, rec.outcomes)
+
+    def test_edge_values_read_by_json_to_same_bits(self, tmp_path):
+        edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 1e-7, 1e16, 1e22, 0.1, 1 / 3]
+        x = np.array(edges + [-v for v in edges])
+        x = np.concatenate([x, make_rng(4).permutation(x)]).reshape(-1, 4)
+        rec = MeasurementRecord(scheme="bell", outcomes=x.view(complex),
+                                state_descriptor={}, seed=1, n=2)
+        path = tmp_path / "rec.jsonl"
+        rec.write_jsonl(path)
+        rows = np.array([json.loads(line) for line in path.read_text().splitlines()[1:]])
+        back = MeasurementRecord.read_jsonl(path).outcomes.view(float)
+        assert np.array_equal(rows.view(np.uint64), x.view(np.uint64))
+        assert np.array_equal(back.view(np.uint64), x.view(np.uint64))
+
+    def test_records_written_by_json_dumps_read_bit_for_bit(self, tmp_path):
+        # the earlier writer: ", " separators, Python's float repr (1e-07,
+        # 1e+300), and here CRLF line ends
+        x = make_rng(5).normal(size=(30, 4)) * 10.0 ** make_rng(6).integers(-9, 9, size=(30, 4))
+        x[0] = [1e-07, -1e+300, -0.0, 1e16]
+        header = {"scheme": "bell", "n": 2, "seed": 3, "count": 30}
+        path = tmp_path / "rec.jsonl"
+        path.write_bytes("".join(json.dumps(v) + "\r\n" for v in [header, *x.tolist()]).encode())
+        assert b"1e-07, -1e+300, -0.0" in path.read_bytes()
+        back = MeasurementRecord.read_jsonl(path).outcomes.view(float)
+        assert np.array_equal(back.view(np.uint64), x.view(np.uint64))
+
+    def test_record_memory_is_bounded_by_the_outcomes(self, tmp_path):
+        # the body is written and read RECORD_BLOCK rows at a time; the parsed
+        # rows are gathered once, so a read holds about twice the outcomes
+        z = make_rng(8).normal(size=(250_000, 4)).view(complex)
+        rec = MeasurementRecord(scheme="bell", outcomes=z, state_descriptor={}, seed=1, n=2)
+        path = tmp_path / "rec.jsonl"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rec.write_jsonl(path)
+            write_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = MeasurementRecord.read_jsonl(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert write_peak <= 16 * 10 ** 6 and read_peak <= 40 * 10 ** 6
+        assert np.array_equal(back.outcomes.view(np.uint64), z.view(np.uint64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_outcomes_rejected(self, bad):
