@@ -183,25 +183,14 @@ def chi_heterodyne_means(outcomes: np.ndarray, alphas: np.ndarray,
 # Record-level estimators
 # ---------------------------------------------------------------------------
 
-def _require_scheme(record: MeasurementRecord, scheme: str):
-    if record.scheme != scheme:
-        raise ValidationError(f"record holds {record.scheme!r} outcomes, need {scheme!r}")
-    if record.count < 1:
-        raise ValidationError("empty measurement record")
-
-
 def estimate_chi_squared(record: MeasurementRecord, alpha) -> complex:
     """Unbiased estimator of chi^2(alpha) from Bell outcomes."""
-    _require_scheme(record, "bell")
-    a = np.asarray(alpha, dtype=complex).reshape(1, record.n)
-    return complex(chi_squared_means(record.outcomes, a)[0])
+    return estimate_record(record, np.reshape(alpha, (1, -1)), "bell_chi2")[0].estimate
 
 
 def estimate_chi_heterodyne(record: MeasurementRecord, alpha) -> complex:
     """Unbiased estimator of chi(alpha) from heterodyne outcomes."""
-    _require_scheme(record, "heterodyne")
-    a = np.asarray(alpha, dtype=complex).reshape(1, record.n)
-    return complex(chi_heterodyne_means(record.outcomes, a)[0])
+    return estimate_record(record, np.reshape(alpha, (1, -1)), "heterodyne")[0].estimate
 
 
 def resolve_sign(v_hat: complex, epsilon: float) -> complex:
@@ -233,7 +222,9 @@ def estimate_record(record: MeasurementRecord, alphas, scheme: str,
         raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme in ("bell_chi", "classicality_aware") and epsilon is None:
         raise ValidationError(f"{scheme} estimation needs epsilon")
-    _require_scheme(record, "bell" if scheme.startswith("bell") else "heterodyne")
+    need = "bell" if scheme.startswith("bell") else "heterodyne"
+    if record.scheme != need:
+        raise ValidationError(f"record holds {record.scheme!r} outcomes, need {need!r}")
     pts = np.asarray(alphas, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != record.n:
         raise ValidationError(

@@ -40,8 +40,8 @@ class FockMatrix:
     """Operator on the truncated n-mode Fock space (cutoff levels per mode),
     equal to `sum_k weights[k] (x)_i factors[i, k]` with factors (n, k, cutoff,
     cutoff). Given the factors, the dense `data` is formed from them on first
-    access and kept. Given `data` alone, the matrix is read as one term with one
-    factor of full dimension (see `_terms`)."""
+    access and kept. Given `data`, the matrix is one term with one factor of
+    full dimension: weights [1] and factors `data[None, None]`, a view."""
 
     def __init__(self, n: int, cutoff: int, data: np.ndarray | None = None,
                  weights: np.ndarray | None = None, factors: np.ndarray | None = None):
@@ -50,6 +50,7 @@ class FockMatrix:
         self.n, self.cutoff = n, cutoff
         if data is not None:
             self.data = data
+            weights, factors = np.ones(1), data[None, None]
         self.weights, self.factors = weights, factors
 
     @property
@@ -156,14 +157,6 @@ def _number_diag(n: int, cutoff: int) -> np.ndarray:
     return diag
 
 
-def _terms(fm: FockMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, factors) with rho = sum_k weights[k] (x)_i factors[i, k]; a
-    matrix given only by `data` is one term with one factor of full dimension."""
-    if fm.factors is None:
-        return np.ones(1), fm.data[None, None]
-    return fm.weights, fm.factors
-
-
 def _antihermitian_bound(fm: FockMatrix, partner: np.ndarray) -> float:
     """An upper bound on max |rho - rho^H| from the terms, each matched with
     its partner p = partner[k]; inf when `partner` is not a permutation.
@@ -175,7 +168,7 @@ def _antihermitian_bound(fm: FockMatrix, partner: np.ndarray) -> float:
     and the largest entry of a Kronecker product is the product of its
     factors' largest entries. A term that equals its partner's adjoint adds 0.
     """
-    weights, factors = _terms(fm)
+    weights, factors = fm.weights, fm.factors
     if not np.array_equal(np.sort(partner), np.arange(len(weights))):
         return math.inf
     x = np.max(np.abs(factors), axis=(2, 3))          # (factors, k); max|A^H| = max|A|
@@ -195,7 +188,7 @@ def _traces(fm: FockMatrix) -> tuple[complex, complex]:
     factor's modes, Tr rho = sum_k w_k prod_i t_ki, and N = sum_i N_i gives
     Tr[rho N] = sum_k w_k sum_i m_ki prod_{j != i} t_kj.
     """
-    weights, factors = _terms(fm)
+    weights, factors = fm.weights, fm.factors
     diag = np.diagonal(factors, axis1=2, axis2=3)
     t, m = diag.sum(axis=2), diag @ _number_diag(fm.n // len(factors), fm.cutoff)
     photons = sum(m[i] * np.prod(np.delete(t, i, axis=0), axis=0) for i in range(len(factors)))
@@ -248,7 +241,7 @@ def _mode_trace(fm: FockMatrix, points, mode_ops):
         raise ValidationError(
             f"oracle points must have shape (n,) or (m, n) with n = {fm.n}, "
             f"got {points.shape}")
-    weights, factors = _terms(fm)
+    weights, factors = fm.weights, fm.factors
     if len(factors) != fm.n:
         raise ValidationError(
             f"a {fm.n}-mode FockMatrix traces only through the factors build_state keeps")
@@ -311,7 +304,7 @@ def _masses(fm: FockMatrix) -> np.ndarray:
     columns use A^H A: the same products summed over r instead of c give the
     conjugate of the column mass, which is real.
     """
-    weights, factors = _terms(fm)
+    weights, factors = fm.weights, fm.factors
     k = len(weights)
     row = col = np.outer(weights, np.conj(weights))[:, :, None]
     for f in factors:
@@ -324,7 +317,7 @@ def _masses(fm: FockMatrix) -> np.ndarray:
 def _kept_block(fm: FockMatrix, keep: np.ndarray) -> np.ndarray:
     """rho[keep][:, keep], h_KK[r, s] = sum_k w_k prod_i A_ki[r_i, s_i], gathered
     from the terms a block of kept rows and one term at a time."""
-    weights, factors = _terms(fm)
+    weights, factors = fm.weights, fm.factors
     size = factors.shape[2]
     idx = np.unravel_index(keep, (size,) * len(factors))
     flat = factors.reshape(len(factors), len(weights), -1)

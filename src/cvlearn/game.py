@@ -18,18 +18,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimators import chi_heterodyne_means, chi_squared_means
-from .measurements import (SignedGaussianMixture, pair_log_brackets, pair_projection,
-                           peak_mixtures, validate_bell_pair)
-from .numerics import (
-    SymmetricUnitary,
-    check_int,
-    make_rng,
-    regularized_upper_gamma,
-    sample_complex_gaussian,
-    takagi_decompose,
-)
-from .states import (PeakState, _check_eps0, bell_partner, char_fn, filter_variances,
-                     make_thermal, peak_layout)
+from .measurements import SignedGaussianMixture, pair_log_brackets, pair_projection, peak_mixtures
+from .numerics import (SymmetricUnitary, check_int, make_rng, regularized_upper_gamma,
+                       sample_complex_gaussian)
+from .states import PeakState, _check_eps0, char_fn, filter_variances, make_thermal, peak_layout
 
 FAMILIES = ("three_peak", "five_peak")
 TRIAL_ROWS = 1 << 16   # copy rows a chunk of trials draws and estimates at once
@@ -138,19 +130,28 @@ def five_peak_window_probability(n: int, sigma2: float, sigma_gamma2: float,
     return p_r * p_i
 
 
-def _rotated_parts(gamma, v: np.ndarray):
-    """|Re gamma'|^2 and |Im gamma'|^2 of gamma' = V^dag gamma, for gamma (n,) or (m, n)."""
-    # one vector-matrix product per gamma: the arithmetic of a single V^dag gamma
-    gp = (np.asarray(gamma, dtype=complex)[..., None, :] @ np.conj(v))[..., 0, :]
-    return np.sum(gp.real ** 2, axis=-1), np.sum(gp.imag ** 2, axis=-1)
+def _five_peak_window(gamma, u: np.ndarray, sigma2: float, kappa: float, n: int):
+    """Window flags, |Re gamma'|^2 and |Im gamma'|^2 of gamma' = V^dag gamma, for
+    gamma (n,) or (m, n).
+
+    Any Takagi factor V V^T = U gives gamma'^T gamma' = gamma^T U* gamma, so the
+    parts are (|gamma|^2 +- Re gamma^T U* gamma) / 2: they read U alone.
+    """
+    g = np.asarray(gamma, dtype=complex)
+    g2 = np.sum(np.abs(g) ** 2, axis=-1)
+    q = np.sum((g @ np.conj(u)) * g, axis=-1).real
+    r2, i2 = 0.5 * (g2 + q), 0.5 * (g2 - q)
+    return ((2.0 * sigma2 < r2) & (r2 <= 2.0 * kappa * n / 3.0)
+            & (0.0 < i2) & (i2 <= kappa * n / 3.0)), r2, i2
 
 
 def five_peak_window_indicator(gamma: np.ndarray, v: np.ndarray, sigma2: float,
                                kappa: float, n: int):
-    """Membership test on gamma' = V^dag gamma: a bool for one gamma, an array for (m, n)."""
-    r2, i2 = _rotated_parts(gamma, v)
-    hit = ((2.0 * sigma2 < r2) & (r2 <= 2.0 * kappa * n / 3.0)
-           & (0.0 < i2) & (i2 <= kappa * n / 3.0))
+    """Membership test on gamma' = V^dag gamma: a bool for one gamma, an array for (m, n).
+
+    The window depends on U = V V^T alone, so it is tested on the U that V factors.
+    """
+    hit = _five_peak_window(gamma, v @ v.T, sigma2, kappa, n)[0]
     return hit if np.ndim(hit) else bool(hit)
 
 
@@ -161,12 +162,9 @@ def _windows_and_gaps(cfg: GameConfig, gammas: np.ndarray):
         g2 = np.sum(np.abs(gammas) ** 2, axis=1)
         return ((2.0 * sigma2 < g2) & (g2 <= cfg.kappa * cfg.n),
                 2.0 * cfg.eps0 * np.exp(-g2 / Sigma2) * (1.0 - np.exp(-2.0 * g2 / sigma2)))
-    v = takagi_decompose(cfg.u).v
-    r2, i2 = _rotated_parts(gammas, v)
-    return (five_peak_window_indicator(gammas, v, sigma2, cfg.kappa, cfg.n),
-            cfg.eps0 * np.exp(-(r2 + i2) / Sigma2)
-            * (1.0 + np.exp(-2.0 * i2 / sigma2))
-            * (1.0 - np.exp(-2.0 * r2 / sigma2)))
+    in_window, r2, i2 = _five_peak_window(gammas, cfg.u.matrix, sigma2, cfg.kappa, cfg.n)
+    return in_window, (cfg.eps0 * np.exp(-(r2 + i2) / Sigma2) * (1.0 + np.exp(-2.0 * i2 / sigma2))
+                       * (1.0 - np.exp(-2.0 * r2 / sigma2)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +281,13 @@ def _copy_blocks(cfg: GameConfig, weights: np.ndarray, centers: np.ndarray):
 def _peak_blocks(cfg: GameConfig, gammas: np.ndarray):
     """`_copy_blocks` of the family's peak states at each row of gammas (m >= 1, n).
 
-    The weights are fixed and the centers linear in gamma, so PeakState's
-    checks (one unit anchor, side mass, Hermitian pairing) and the Bell
-    reflection contract hold for every member once they hold for one: they
-    run on member 0.
+    PeakState's checks are not run: `peak_layout` gives one unit anchor and
+    Hermitian pairs, GameConfig's eps0 <= 1/4 bounds the side mass by 1, and
+    merging keeps all three; the Bell partner's centers are gamma* by
+    construction.
     """
     weights, centers = peak_layout(cfg.n, cfg.eps0, gammas,
                                    cfg.u if cfg.family == "five_peak" else None)
-    reference = PeakState(n=cfg.n, nu=cfg.nu, weights=weights, centers=centers[0],
-                          eps0=cfg.eps0)
-    if cfg.bob == "ea_bell":
-        validate_bell_pair(reference, bell_partner(reference, cfg.u))
     return _copy_blocks(cfg, weights, centers)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError, NumericFailure
 from .numerics import check_int, check_mode_count, make_rng
-from .states import (PeakState, char_fn, family_runs, filter_a, filter_variances,
+from .states import (PEAK_DROP, PeakState, char_fn, family_runs, filter_a, filter_variances,
                      hermitian_partners, merge_family, s_ordered_peaks)
 
 ENVELOPE_GUARD = {np.float64: 1e-9, np.float32: 3e-6}
@@ -302,7 +302,7 @@ def peak_mixtures(scheme: str, nu: float, weights, centers) -> list[SignedGaussi
                 for mix in peak_mixtures(scheme, nu, weights, centers[start:start + FAMILY_CHUNK])]
     sig2, a = filter_variances(nu)[0], filter_a(nu)
     out = [None] * m
-    for run, w, g in merge_family(np.broadcast_to(weights, (m, k)), centers, drop=1e-15):
+    for run, w, g in merge_family(np.broadcast_to(weights, (m, k)), centers, drop=PEAK_DROP):
         if scheme == "heterodyne":
             t, amps, freqs = s_ordered_peaks(nu, -1.0, w, g)
             mixes = mixture_family(n, t / 2.0, freqs, amps)

@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .numerics import SymmetricUnitary, check_mode_count
 
 MERGE_TOL = 1e-12
+PEAK_DROP = 1e-15   # merged peaks with |weight| <= this are dropped
 EXP_FLOOR = -745.0  # exp() underflows to 0 below this; clamp to avoid noise
 
 
@@ -68,7 +69,7 @@ class PeakState:
             raise ValidationError(f"nu must lie in (0, 1), got {self.nu}")
         w = np.atleast_1d(np.asarray(self.weights, dtype=complex))
         c = np.asarray(self.centers, dtype=complex).reshape(len(w), self.n)
-        w, c = merge_coincident(w, c, drop=1e-15)
+        w, c = merge_coincident(w, c, drop=PEAK_DROP)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "centers", c)
         self._validate()

@@ -25,10 +25,11 @@ from cvlearn.channel_bridge import (
     r_star,
 )
 from cvlearn.errors import ValidationError
-from cvlearn.numerics import make_rng
+from cvlearn.numerics import make_rng, random_symmetric_unitary
 from cvlearn.states import (
     char_fn,
     classicality_smax,
+    make_five_peak,
     make_thermal,
     make_three_peak,
     make_three_peak_classical,
@@ -113,6 +114,20 @@ class TestLambdaFromState:
         assert s_max < 1
         rep = lambda_from_state(st, 0.0, sets=60)
         assert rep.status in (UNKNOWN, VIOLATED)
+
+    def test_three_peak_below_threshold_is_unknown(self):
+        # s_max = 0.709 gives r* = 0.172; r = 0.1 is below it and no violation shows
+        rep = lambda_from_state(make_three_peak(1, 0.6, 0.2, np.array([1 + 0.5j])), 0.1)
+        assert rep.status == UNKNOWN
+        assert rep.r_threshold == pytest.approx(0.1722542633990494, rel=1e-12)
+
+    def test_five_peak_has_no_threshold_and_is_unknown(self):
+        # five-peak states have no closed-form s_max, so no r clears a threshold
+        st = make_five_peak(1, 0.6, 0.2, np.array([1 + 0.5j]),
+                            random_symmetric_unitary(1, make_rng(3)))
+        rep = lambda_from_state(st, 1.0)
+        assert rep.status == UNKNOWN
+        assert rep.s_max is None and rep.r_threshold is None
 
     def test_statistical_equivalence_identity(self):
         # e^{-e^{-2r}|a|^2} lambda_{rho,r}(a) reproduces chi^2 exactly.

@@ -344,6 +344,18 @@ print(json.dumps({
 """
 
 
+# Runs in a fresh interpreter: `cvlearn game run` on each (config, out) pair of GAMES,
+# then prints the SciPy modules loaded.
+GAME_COLD_START = """
+import json, sys
+import cvlearn.cli
+
+for config, out in GAMES:
+    assert cvlearn.cli.main(["game", "run", "--config", config, "--out", out]) == 0, config
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
 def _round_trips(directory):
     """CLI arguments for a Bell and a heterodyne sample -> estimate round trip."""
     d = str(directory)
@@ -402,6 +414,29 @@ class TestColdStart:
         assert got["oracle"]["char_max_abs_error"] < 1e-6
         assert got["oracle"]["min_eigenvalue"] >= -1e-9
 
+    def test_five_peak_games_load_no_scipy(self, tmp_path):
+        # the five-peak window reads U itself, so no game needs a Takagi factor
+        import cvlearn
+
+        base = {"family": "five_peak", "n": 2, "nu": 0.9, "eps0": 0.25, "kappa": 2.0,
+                "trials": 40, "seed": 3, "u": {"seed": 5}, "tvd_gamma_draws": 4,
+                "tvd_mc_samples": 20}
+        games = []
+        for name, extra in (("bell", {"bob": "ea_bell", "copies": 20}),
+                            ("het", {"bob": "ef_heterodyne", "order": "or", "copies": 9})):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(base | extra))
+            games.append((str(config), str(tmp_path / f"{name}_out.json")))
+        src = str(Path(cvlearn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", f"GAMES = {games!r}\n" + GAME_COLD_START],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+        for _, out in games:
+            res = json.loads(Path(out).read_text())
+            assert 0 < res["window_hit_rate"] <= 1 and 0 <= res["success_rate"] <= 1
+
 
 class TestInputErrors:
     def _record_and_points(self, tmp_path):
@@ -411,6 +446,19 @@ class TestInputErrors:
         pts = tmp_path / "pts.json"
         pts.write_text(json.dumps([[{"re": 0.5, "im": 0.0}]]))
         return rec, pts
+
+    def test_numeric_failure_is_3(self, tmp_path, capsys, monkeypatch):
+        from cvlearn import fock_oracle
+        from cvlearn.errors import NumericFailure
+
+        def fail(*args, **kwargs):
+            raise NumericFailure("forced for the test")
+
+        monkeypatch.setattr(fock_oracle, "oracle_check", fail)
+        rc = main(["oracle", "check", "--family", "thermal", "--nu", "0.5",
+                   "--out", str(tmp_path / "oracle.json")])
+        assert rc == 3
+        assert "numeric failure: forced for the test" in capsys.readouterr().err
 
     def test_missing_record_is_2(self, tmp_path, capsys):
         _, pts = self._record_and_points(tmp_path)

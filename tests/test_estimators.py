@@ -312,6 +312,16 @@ class TestEstimateRecord:
         for r, a in zip(reps[::37], pts[::37]):
             assert abs(r.estimate - estimate_chi_heterodyne(het, a)) < 1e-12
 
+    @pytest.mark.parametrize("per_point", [estimate_chi_squared, estimate_chi_heterodyne])
+    def test_per_point_rejects_wrong_length_alpha(self, per_point):
+        # the per-point estimators are one-row calls of estimate_record, so a
+        # two-component alpha at n=1 fails estimate_record's query-point check
+        st = make_three_peak(1, 0.6, 0.2, np.array([1.0]))
+        rec = (bell_record(st, seed=4, count=200) if per_point is estimate_chi_squared
+               else sample_heterodyne(st, 200, seed=4))
+        with pytest.raises(ValidationError, match="query points must be rows of 1 components"):
+            per_point(rec, np.array([0.1, 0.2]))
+
     def test_input_checks(self):
         bell, het = self.records()
         pts = self.points()
