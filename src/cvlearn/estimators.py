@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ValidationError
-from .measurements import MeasurementRecord, phase_matrix
+from .measurements import MeasurementRecord, phase_matrix, run_beside
 
 SCHEMES = ("bell_chi2", "bell_chi", "heterodyne", "classicality_aware")
 
@@ -112,6 +112,9 @@ def plan_samples(scheme: str, inputs: PlannerInputs) -> int:
 # Phase-factor means (shared vectorized core)
 # ---------------------------------------------------------------------------
 
+MATMUL_MACS = 200_000   # multiply-adds per matmul call when the rows are split
+
+
 def _phase_factor_sums(outcomes: np.ndarray, freqs: np.ndarray, dtype,
                        chunk: int) -> np.ndarray:
     """sum_j e^{i Im(z_j . f)} for each row f of `freqs`, via `phase_matrix`.
@@ -123,11 +126,22 @@ def _phase_factor_sums(outcomes: np.ndarray, freqs: np.ndarray, dtype,
     accumulated in float64. Leading axes broadcast through `np.matmul`:
     outcomes (T, N, n) with freqs (T, M, n) give sums (T, M), trial t's
     queries reading only trial t's outcomes.
+
+    A call of more than one block with M >= 4 splits each block's query rows:
+    this thread sums the first M // 2 of every trial, the worker thread of
+    `measurements.run_beside` the rest. Each row is summed as in a one-thread
+    call, into its own entries, so the sums do not depend on the split or on
+    thread timing. Split, the matmul is cut into calls of at least two rows
+    and two columns and at most about MATMUL_MACS multiply-adds, which OpenBLAS
+    runs on the calling thread; a larger call would wake its thread pool to
+    compete with the two halves. For these shapes the pieces give the whole
+    matmul's bits. One-block calls (the CLI's and the game's) never hand off.
     """
     *lead, n_samp, n_modes = outcomes.shape
     mat_t = phase_matrix(freqs).swapaxes(-1, -2).astype(dtype)
     m = mat_t.shape[-2]
     acc = np.zeros((*lead, m), dtype=complex)
+    split = m // 2 if n_samp > chunk and m >= 4 else 0
     parts = phases = cos_buf = None
     for lo in range(0, n_samp, chunk):
         zz = outcomes[..., lo:lo + chunk, :]
@@ -138,12 +152,33 @@ def _phase_factor_sums(outcomes: np.ndarray, freqs: np.ndarray, dtype,
             cos_buf = np.empty((*lead, m, b), dtype=dtype)
         parts[..., :n_modes, :] = zz.real.swapaxes(-1, -2)
         parts[..., n_modes:, :] = zz.imag.swapaxes(-1, -2)
-        np.matmul(mat_t, parts, out=phases)
-        np.cos(phases, out=cos_buf)
-        acc += cos_buf.sum(axis=-1, dtype=np.float64)
-        np.sin(phases, out=phases)
-        acc += 1j * phases.sum(axis=-1, dtype=np.float64)
+        if not split or b < 2:
+            _add_row_sums(acc, mat_t, parts, phases, cos_buf, [slice(None)])
+            continue
+        halves = [(acc[..., rows], mat_t[..., rows, :], parts, phases[..., rows, :],
+                   cos_buf[..., rows, :], _column_slices(b, m - split, 2 * n_modes))
+                  for rows in (slice(split), slice(split, None))]
+        job = run_beside(_add_row_sums, *halves[1])
+        _add_row_sums(*halves[0])
+        job.result()
     return acc
+
+
+def _column_slices(b: int, rows: int, depth: int) -> list:
+    """Slices of b >= 2 columns, each at least 2 wide and at most about MATMUL_MACS / (rows depth)."""
+    step = max(2, MATMUL_MACS // (rows * depth))
+    cuts = list(range(step, b - 1, step))   # no one-column slice at the end
+    return [slice(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, b])]
+
+
+def _add_row_sums(acc, mat_t, parts, phases, cos_buf, columns):
+    """acc += the sums of cos and i sin over one block's phases Phi^T @ parts, by rows."""
+    for cols in columns:
+        np.matmul(mat_t, parts[..., cols], out=phases[..., cols])
+    np.cos(phases, out=cos_buf)
+    acc += cos_buf.sum(axis=-1, dtype=np.float64)
+    np.sin(phases, out=phases)
+    acc += 1j * phases.sum(axis=-1, dtype=np.float64)
 
 
 def _block_rows(chunk: int | None, alphas: np.ndarray) -> int:

@@ -10,11 +10,16 @@ real quadratic form in one cos/sin per +/- peak pair. `phase_matrix` is the
 one definition of the phase map Im(zeta . f), shared with the estimators.
 Dropping the oscillations and taking moduli gives a dominating envelope,
 which makes rejection sampling exact.
+
+The sampler and the estimators share one worker thread (`run_beside`), so a
+large call uses a second CPU without changing a bit of its result.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass
 from itertools import islice, repeat
 
@@ -30,6 +35,34 @@ PAIR_TOL = 1e-10    # |f_j + f_partner| and |Im Q| allowed by Hermitian pairing
 FAMILY_CHUNK = 256  # members built at once by peak_mixtures
 SAMPLE_BLOCK = 1 << 16  # largest block of proposal rows sample draws and tests at once
 RECORD_BLOCK = 1 << 14  # record rows written or read at once
+
+_worker = None   # the executor behind run_beside, made on first use
+_worker_lock = threading.Lock()
+
+
+def run_beside(fn, *args):
+    """Start fn(*args) on the one worker thread that `sample` and the estimators share.
+
+    Returns its concurrent.futures.Future. The caller does its own share of
+    the work meanwhile, then waits on `result()`, which re-raises what fn
+    raised. concurrent.futures loads on first use, so importing stays light.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(max_workers=1)
+        return _worker.submit(fn, *args)
+
+
+def _forget_worker():
+    # A forked child inherits the executor but not its thread, so work sent
+    # to it would wait forever; the child makes its own on first use.
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
 
 
 def phase_matrix(freqs) -> np.ndarray:
@@ -65,13 +98,21 @@ class SignedGaussianMixture:
         """x = [1, cos th_1, sin th_1, ...] at outcomes re + i im (each (m, n)), in their dtype.
 
         x_0 = 1 never multiplies (terms with a = 0 are linear), so it is None.
+        Each angle th_r = [re | im] @ Phi[:, r] is summed coordinate by
+        coordinate into its own contiguous row, without BLAS: `sample` runs
+        this beside its draws, where OpenBLAS would wake its thread pool.
         """
-        if not self._phase.shape[1]:
+        rows, pairs = len(re), self._phase.shape[1]
+        if not pairs:
             return [None]
-        phase = self._phase.astype(re.dtype.type)
-        theta = re @ phase[:self.n]
-        theta += im @ phase[self.n:]
-        return _angle_phasors(theta)
+        coords = [*re.T, *im.T]
+        theta = np.empty((pairs, rows), dtype=re.dtype)
+        term = np.empty(rows, dtype=re.dtype)
+        for th, weights in zip(theta, self._phase.T.astype(re.dtype.type)):
+            np.multiply(coords[0], weights[0], out=th)
+            for coord, w in zip(coords[1:], weights[1:]):
+                th += np.multiply(coord, w, out=term)
+        return _angle_phasors(theta.T)
 
     def _fold(self, x: list, rows: int, dt) -> np.ndarray:
         """x^T Q x over `rows` outcomes from their phasors x (`_phasors`), in dtype dt."""
@@ -113,11 +154,19 @@ class SignedGaussianMixture:
 
         Proposals come in blocks of min(int(1.2 * count * envelope_mass),
         SAMPLE_BLOCK) rows. Each block draws all its `re` normals, then all
-        its `im` normals, brackets and guards every row, draws one uniform
-        per row and compacts its accepted rows into the output; the block
+        its `im` normals, then one uniform per row; it brackets and guards
+        every row and compacts its accepted rows into the output. The block
         that fills the output is the last. The stream is defined per block,
         so draws that need more than one block depend on SAMPLE_BLOCK.
-        Memory: the output plus O(SAMPLE_BLOCK).
+
+        While a block is not expected to fill the output (block < rows still
+        needed * envelope_mass), the worker thread of `run_beside` draws the
+        next block's `re` into a third buffer as this thread brackets, guards
+        and compacts the block; the draws allocate nothing, so the worker
+        holds no memory of its own. When the block fills the output after
+        all, the generator's state is set back to before the draw ahead. So
+        the output and the state of `rng` on return are those of drawing
+        block by block on one thread. Memory: the output plus O(SAMPLE_BLOCK).
         """
         check_int(count, "count", 1)
         dt = np.dtype(dtype).type
@@ -128,17 +177,16 @@ class SignedGaussianMixture:
         inv_mass = dt(1.0 / self.envelope_mass)
         out = np.empty((count, self.n), dtype=np.complex64 if dt is np.float32 else complex)
         parts = out.view(dt).reshape(count, self.n, 2)   # [..., 0] real, [..., 1] imag
-        filled = 0
         # Envelope mass bounds the expected trials per accepted sample; it is
         # at least 1, so a block holds at least one row, and a call that one
         # block does not fill draws further blocks of the same size.
         block = min(int(1.2 * count * self.envelope_mass), SAMPLE_BLOCK)
-        re = np.empty((block, self.n), dtype=dt)
-        im = np.empty((block, self.n), dtype=dt)
+        # three normal buffers take turns as re, im and the next block's re
+        re, im, spare = (np.empty((block, self.n), dtype=dt) for _ in range(3))
         u = np.empty(block, dtype=dt)
-        while filled < count:
-            rng.standard_normal(out=re, dtype=dt)
-            rng.standard_normal(out=im, dtype=dt)
+
+        def accept(re, im, filled):
+            """Scale, bracket, guard and compact one block; the rows it adds."""
             re *= scale
             im *= scale
             ratio = self._bracket(re, im)
@@ -147,14 +195,33 @@ class SignedGaussianMixture:
                 raise NumericFailure(
                     f"rejection envelope violated: ratio {np.max(ratio)} > 1; "
                     "the proposal no longer dominates the density")
-            rng.random(out=u, dtype=dt)
             idx = np.flatnonzero(u < ratio)[:count - filled]
             take = len(idx)
             # Compact the accepted rows straight into `out`; idx < block, so
             # mode="clip" never clips, and unlike "raise" it needs no buffer.
             np.take(re, idx, axis=0, out=parts[filled:filled + take, :, 0], mode="clip")
             np.take(im, idx, axis=0, out=parts[filled:filled + take, :, 1], mode="clip")
-            filled += take
+            return take
+
+        filled, ahead = 0, False
+        while filled < count:
+            if not ahead:
+                rng.standard_normal(out=re, dtype=dt)
+            rng.standard_normal(out=im, dtype=dt)
+            rng.random(out=u, dtype=dt)
+            ahead = block < (count - filled) * self.envelope_mass
+            if not ahead:
+                filled += accept(re, im, filled)
+                continue
+            state = rng.bit_generator.state
+            draw = run_beside(rng.standard_normal, spare.shape, dt, spare)
+            try:
+                filled += accept(re, im, filled)
+            finally:
+                draw.result()   # the generator is this thread's again
+            re, im, spare = spare, re, im
+        if ahead:   # the block drawn ahead is not needed
+            rng.bit_generator.state = state
         return out
 
 
@@ -411,7 +478,9 @@ class MeasurementRecord:
         must be one flat JSON array of 2n numbers, [re_1, im_1, ..., re_n,
         im_n]; whitespace around a line is ignored. The outcomes read back
         bit for bit, signed zeros included. The body is read RECORD_BLOCK
-        lines at a time, so memory beyond the outcomes stays bounded.
+        lines at a time into one array, which starts at min(count,
+        RECORD_BLOCK) rows and doubles, up to `count`, as rows arrive. So the
+        outcomes are held once, and memory beyond them stays bounded.
         """
         with open(path, "rb") as fh:
             try:
@@ -420,11 +489,17 @@ class MeasurementRecord:
                 n, count, seed = (header[k] for k in ("n", "count", "seed"))
                 for key, value, low in (("n", n, 1), ("count", count, 1), ("seed", seed, 0)):
                     check_int(value, f"record header {key}", low)
-                blocks = []
-                while raw := list(islice(fh, RECORD_BLOCK)):
-                    if lines := [line for line in map(bytes.strip, raw) if line]:
-                        blocks.append(_parse_rows(lines, 2 * n))
-                data = np.concatenate(blocks) if blocks else np.empty((0, 2 * n))
+                data, rows = np.empty((min(count, RECORD_BLOCK), 2 * n)), 0
+                while lines := list(islice(fh, RECORD_BLOCK)):
+                    # the stripped lines replace the raw ones, which are freed
+                    if lines := [line for line in map(bytes.strip, lines) if line]:
+                        if rows + len(lines) > len(data):
+                            # ndarray.resize grows it by realloc, not by a copy beside it
+                            grown = max(rows + len(lines), min(2 * len(data), count))
+                            data.resize((grown, 2 * n), refcheck=False)
+                        data[rows:rows + len(lines)] = _parse_rows(lines, 2 * n)
+                        rows += len(lines)
+                data = data[:rows]
             except KeyError as exc:
                 raise ValidationError(f"record header lacks {exc}") from exc
             except (OverflowError, TypeError, ValueError) as exc:   # a bad byte, number or size
@@ -453,8 +528,8 @@ def _parse_rows(lines: list, width: int) -> np.ndarray:
             and set(map(bytes.count, lines, repeat(b","))) == {width - 1}):
         raise ValueError(f"each row must be one JSON array of {width} numbers "
                          "on its own line")
-    values = orjson.loads(text.replace(b"]\n[", b","))
-    return np.array(values, dtype=float).reshape(len(lines), width)
+    text = text.replace(b"]\n[", b",")   # one flat array; the joined text is freed
+    return np.array(orjson.loads(text), dtype=float).reshape(len(lines), width)
 
 
 def sample_bell(state: PeakState, reflected_then_circuit: PeakState, count: int,

@@ -258,6 +258,36 @@ class TestPhaseFactorSums:
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+class TestPhaseFactorDeterminism:
+    # Blocks of 7000 rows, the last one row wide: with M >= 4 the two full
+    # blocks split their query rows between two threads, and with M = 17 at
+    # n = 3 their matmuls are cut into column slices.
+    chunk, count, n = 7000, 14_001, 3
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 17])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_repeatable_and_equal_to_per_block_sums(self, m, dtype, lead, monkeypatch):
+        rng = make_rng(54 + m)
+        z = rng.normal(size=(*lead, self.count, 2 * self.n)).view(complex)
+        f = 2.0 * rng.normal(size=(*lead, m, 2 * self.n)).view(complex)
+        handoffs, run_beside = [], estimators.run_beside
+
+        def counted(fn, *args):
+            handoffs.append(fn)
+            return run_beside(fn, *args)
+
+        monkeypatch.setattr(estimators, "run_beside", counted)
+        runs = [estimators._phase_factor_sums(z, f, dtype, self.chunk) for _ in range(3)]
+        assert len(handoffs) == (6 if m >= 4 else 0)
+        in_order = np.zeros(runs[0].shape, dtype=complex)
+        for lo in range(0, self.count, self.chunk):
+            in_order += estimators._phase_factor_sums(z[..., lo:lo + self.chunk, :], f, dtype,
+                                                      self.chunk)
+        assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+        assert np.array_equal(runs[0], in_order)
+
+
 class TestEstimateRecord:
     def records(self):
         st = make_three_peak(2, 0.7, 0.2, np.array([0.8 + 0.3j, -0.4j]))

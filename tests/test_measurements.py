@@ -8,6 +8,7 @@ import gc
 import hashlib
 import json
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ import orjson
 import pytest
 
 from cvlearn.errors import ValidationError, NumericFailure
+from cvlearn.estimators import chi_squared_means
 from cvlearn.fock_oracle import build_state, husimi
 from cvlearn.measurements import (
     ENVELOPE_GUARD,
@@ -332,6 +334,96 @@ class TestSampleBlocks:
         mix = heterodyne_mixture(make_thermal(1, 0.5))
         with pytest.raises(ValidationError, match="count must be an integer >= 1"):
             mix.sample(count, make_rng(0))
+
+
+def accepted_per_block(mix, blocks, rng, dtype):
+    """Rows each full SAMPLE_BLOCK block of the reference loop accepts."""
+    dt = np.dtype(dtype).type
+    scale, inv_mass = dt(np.sqrt(mix.variance)), dt(1.0 / mix.envelope_mass)
+    counts = []
+    for _ in range(blocks):
+        re = rng.standard_normal((SAMPLE_BLOCK, mix.n), dtype=dtype) * scale
+        im = rng.standard_normal((SAMPLE_BLOCK, mix.n), dtype=dtype) * scale
+        ratio = mix._bracket(re, im) * inv_mass
+        counts.append(int(np.count_nonzero(rng.random(SAMPLE_BLOCK, dtype=dtype) < ratio)))
+    return counts
+
+
+class TestStreamEnd:
+    """After `sample`, the caller's generator is where the reference loop leaves it."""
+
+    mixture = TestSampleStream.mixture
+
+    def assert_matches_reference(self, mix, count, seed, dtype):
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        got = mix.sample(count, rng, dtype=dtype)
+        want, blocks, _ = reference_sample(mix, count, ref_rng, dtype)
+        assert np.array_equal(got, want)
+        assert np.array_equal(rng.random(16), ref_rng.random(16))
+        return blocks
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", [5000, 150_000])
+    def test_one_and_several_blocks(self, dtype, count):
+        blocks = self.assert_matches_reference(self.mixture("bell", 2), count, 72, dtype)
+        assert (blocks == 1) == (count == 5000)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_drawn_ahead_but_not_needed(self, dtype):
+        # Pick a count whose last block accepts more rows than expected: it is
+        # drawn while block < rows still needed * envelope_mass, so the next
+        # block's re is drawn ahead, and then it fills the output.
+        mix = self.mixture("bell", 2)
+        counts = accepted_per_block(mix, 8, make_rng(73), dtype)
+        need = int(SAMPLE_BLOCK / mix.envelope_mass) + 1
+        k = next(k for k in range(1, 8) if counts[k] >= need)
+        count = sum(counts[:k]) + need
+        assert SAMPLE_BLOCK < (count - sum(counts[:k])) * mix.envelope_mass
+        assert self.assert_matches_reference(mix, count, 73, dtype) == k + 1
+
+    def test_failure_beside_a_draw_ahead_propagates(self):
+        # Thermal: every proposal is accepted, so the worker thread draws the
+        # second block's re while the first block is bracketed; the failure
+        # waits for that draw, and the next call starts clean.
+        mix = heterodyne_mixture(make_thermal(1, 0.5))
+        count = 110_000
+        assert SAMPLE_BLOCK < count * mix.envelope_mass
+        bracket = mix._bracket
+
+        def corrupting(re, im):
+            out = bracket(re, im)
+            out[0] = (1.0 + 10 * ENVELOPE_GUARD[np.float64]) * mix.envelope_mass
+            return out
+
+        mix._bracket = corrupting
+        rng, ref_rng = make_rng(74), make_rng(74)
+        with pytest.raises(NumericFailure, match="envelope"):
+            mix.sample(count, rng)
+        # re, im and u of the first block, then the second block's re
+        for draw in ["standard_normal", "standard_normal", "random", "standard_normal"]:
+            getattr(ref_rng, draw)(SAMPLE_BLOCK)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        del mix._bracket
+        self.assert_matches_reference(mix, count, 74, np.float64)
+
+
+def draw_and_estimate():
+    """Digest of a multi-block float32 sample and its M=10 chi^2 means."""
+    st = make_three_peak(1, 0.75, 0.25, np.array([0.9 + 0.4j]))
+    mix = bell_mixture(st, bell_partner(st, random_symmetric_unitary(1, make_rng(75))))
+    z = mix.sample(300_000, make_rng(76), dtype=np.float32)
+    alphas = 0.5 * make_rng(77).normal(size=(10, 2)).view(complex)
+    v = chi_squared_means(z, alphas, dtype=np.float32)
+    return hashlib.sha256(z.tobytes() + v.tobytes()).hexdigest()
+
+
+class TestForkedChild:
+    def test_child_samples_and_estimates_after_the_parent(self):
+        # The parent's worker thread has run; a forked child has none of its
+        # own until it starts one, and must not wait on the parent's.
+        want = draw_and_estimate()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(draw_and_estimate).get(timeout=60) == want
 
 
 class TestHeterodyne:
@@ -684,6 +776,25 @@ class TestRecordChecks:
         finally:
             tracemalloc.stop()
         assert write_peak <= 16 * 10 ** 6 and read_peak <= 40 * 10 ** 6
+        assert np.array_equal(back.outcomes.view(np.uint64), z.view(np.uint64))
+
+    def test_read_holds_the_outcomes_once(self, tmp_path):
+        # One array, grown as rows arrive, holds the outcomes (8 MB here);
+        # beyond it a read holds one RECORD_BLOCK block's lines, text and
+        # parsed values, about 6 MB. Gathering the blocks and then joining
+        # them would hold the outcomes twice.
+        z = make_rng(9).normal(size=(250_000, 4)).view(complex)
+        path = tmp_path / "rec.jsonl"
+        MeasurementRecord(scheme="bell", outcomes=z, state_descriptor={}, seed=1,
+                          n=2).write_jsonl(path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back = MeasurementRecord.read_jsonl(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert read_peak <= z.nbytes + 7 * 10 ** 6
         assert np.array_equal(back.outcomes.view(np.uint64), z.view(np.uint64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
