@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 from .errors import HypothesisViolation, ValidationError
 from .estimators import PlannerInputs, effective_radius, hoeffding_count_float, scheme_cost
+from .numerics import check_finite, check_real
 
 CONSTANTS_VERSION = "hoeffding-4B2-ln4M/delta-v1"
 
@@ -130,10 +131,8 @@ def classicality_f(S: float) -> float:
 
 
 def classicality_thresholds(S: float, n: int, epsilon: float) -> ClassicalityThresholds:
-    if not (0.0 < S < 1.0):
-        raise ValidationError(f"classicality floor must lie in (0,1), got {S}")
-    if not (0.0 < epsilon < EPS_SUP_THREE_PEAK):
-        raise ValidationError(f"epsilon must lie in (0, 0.245), got {epsilon}")
+    check_real(S, "classicality floor must lie in (0,1)", 0.0, 1.0)
+    check_real(epsilon, "epsilon must lie in (0, 0.245)", 0.0, EPS_SUP_THREE_PEAK)
     f = classicality_f(S)
     kappa_min = (2.0 / 0.99) * S / math.sqrt(1.0 - S * S)
     kappa_max = math.log(EPS_SUP_THREE_PEAK / epsilon) / (n * f)
@@ -149,14 +148,12 @@ def lb_ef_classical(inp: BoundInputs) -> float:
     """EF lower bound for inputs promised at least S-classical."""
     _require(inp.n >= 8, "n >= 8")
     _require(0.0 < inp.epsilon < EPS_SUP_THREE_PEAK, "epsilon in (0, 0.245)")
-    if inp.S is None or not (0.0 < inp.S < 1.0):
-        raise HypothesisViolation("S in (0, 1)")
+    _require(inp.S is not None and 0.0 < inp.S < 1.0, "S in (0, 1)")
     thr = classicality_thresholds(inp.S, inp.n, inp.epsilon)
     _require(inp.S <= thr.s_cap + 1e-12,
              f"S <= s_cap(n, epsilon) = {thr.s_cap:.6g}")
-    if not (thr.kappa_min - 1e-12 <= inp.kappa <= thr.kappa_max + 1e-12):
-        raise HypothesisViolation(
-            f"kappa in [kappa_min, kappa_max] = [{thr.kappa_min:.6g}, {thr.kappa_max:.6g}]")
+    _require(thr.kappa_min - 1e-12 <= inp.kappa <= thr.kappa_max + 1e-12,
+             f"kappa in [kappa_min, kappa_max] = [{thr.kappa_min:.6g}, {thr.kappa_max:.6g}]")
     kp = min(inp.kappa, max(thr.kappa_star, thr.kappa_min))
     return (LB_EF_CLASSICAL_CONST / inp.epsilon ** 2
             * math.exp(-2.0 * kp * inp.n * thr.f)
@@ -191,8 +188,7 @@ def ub_hd_classical(inp: BoundInputs) -> float:
     At the branch seam kappa n = L_eps(S) both expressions coincide because
     e^{kappa n} = eps^{-2/S} there.
     """
-    if inp.S is None or not (0.0 < inp.S <= 1.0):
-        raise HypothesisViolation("S in (0, 1]")
+    _require(inp.S is not None and 0.0 < inp.S <= 1.0, "S in (0, 1]")
     if inp.kappa * inp.n <= effective_radius(inp.S, inp.epsilon):
         return ub_hd(inp)
     return _planned("classicality_aware", inp, S=inp.S)
@@ -244,6 +240,7 @@ def emit_curves(axis: str, grid, families, base: BoundInputs) -> CurveTable:
     if axis not in CURVE_AXES:
         raise ValidationError(f"axis must be one of {CURVE_AXES}, got {axis!r}")
     grid = [float(x) for x in grid]
+    check_finite(grid, "curve grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("curve grid must be strictly increasing")
     families = list(families)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import psd_check
+from .numerics import check_real, psd_check
 from .states import PeakState, char_fn, classicality_smax, three_peak_plus
 
 VALID = "valid (Bochner spot checks passed)"
@@ -40,8 +40,7 @@ class ChannelSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValidationError(f"squeezing parameter must be >= 0, got {self.r}")
+        check_real(self.r, "squeezing parameter must be >= 0", 0.0, ends="[)")
         at0 = complex(np.asarray(self.lam(np.zeros((1, self.n), dtype=complex)))[0])
         if abs(at0 - 1.0) > 1e-10:
             raise ValidationError(f"lambda(0) = {at0} != 1")
@@ -56,11 +55,8 @@ class ChannelSpec:
 
 def r_star(s_max: float) -> float:
     """Threshold squeezing (1/2) log(1/s_max); undefined for s_max <= 0."""
-    if s_max <= 0:
-        raise ValidationError(
-            "no finite squeezing threshold exists for non-positive classicality")
-    if s_max > 1:
-        raise ValidationError(f"classicality cannot exceed 1, got {s_max}")
+    check_real(s_max, "no finite squeezing threshold exists for non-positive classicality", 0.0)
+    check_real(s_max, "classicality cannot exceed 1", high=1.0, ends="(]")
     return 0.5 * math.log(1.0 / s_max)
 
 
@@ -136,14 +132,15 @@ def lambda_from_state(state: PeakState, r: float, s_max: float | None = None,
     sweep is evidence for that, not proof. Below the threshold the status
     stays unknown unless a concrete PSD violation shows up.
     """
-    if r < 0:
-        raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
+    check_real(r, "squeezing parameter must be >= 0", 0.0, ends="[)")
     if sets < 1 or points_per_set < 1:
         # with no Bochner check run, "passed" would be vacuous
         raise ValidationError(
             f"sets and points_per_set must be >= 1, got {sets} and {points_per_set}")
     if s_max is None:
         s_max = _state_smax(state)
+    else:
+        check_real(s_max, "classicality cannot exceed 1", high=1.0, ends="(]")
     damp = math.exp(-2.0 * r)
 
     def lam(batch):
@@ -181,8 +178,7 @@ def lambda_from_state(state: PeakState, r: float, s_max: float | None = None,
 
 def fock1_lambda(c_channel: float):
     """lambda(alpha) = e^{-c |alpha|^2} (1 - |alpha|^2)^2 for the |1> input."""
-    if not (0.0 <= c_channel < 1.0):
-        raise ValidationError(f"c = 1 - e^{{-2r}} must lie in [0, 1), got {c_channel}")
+    check_real(c_channel, "c = 1 - e^{-2r} must lie in [0, 1)", 0.0, 1.0, "[)")
 
     def lam(batch):
         batch = np.atleast_2d(np.asarray(batch, dtype=complex))
@@ -199,8 +195,7 @@ def fock1_channel_density(c_channel: float, beta):
               + (c^4 - 2c^3 + 2c^2)); negative on an annulus, so no physical
     random-displacement channel reproduces |1><1| learning.
     """
-    if not (0.0 < c_channel < 1.0):
-        raise ValidationError("density form needs 0 < c < 1; use the c = 0 Bochner witness")
+    check_real(c_channel, "density form needs 0 < c < 1; use the c = 0 Bochner witness", 0.0, 1.0)
     b = np.atleast_1d(np.asarray(beta, dtype=complex)).reshape(-1)
     u = np.abs(b) ** 2
     c = c_channel
@@ -211,8 +206,7 @@ def fock1_channel_density(c_channel: float, beta):
 
 def fock1_negativity_annulus(c_channel: float):
     """(inner, outer) endpoints of the negative annulus in |beta|^2."""
-    if not (0.0 < c_channel < 1.0):
-        raise ValidationError("annulus defined for 0 < c < 1")
+    check_real(c_channel, "annulus defined for 0 < c < 1", 0.0, 1.0)
     c = c_channel
     half_width = math.sqrt(2.0 * (1.0 - c))
     return c * (2.0 - c - half_width), c * (2.0 - c + half_width)

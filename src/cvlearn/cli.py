@@ -25,8 +25,8 @@ from .errors import NumericFailure, ValidationError
 from .estimators import estimate_record
 from .game import GameConfig, run_game
 from .measurements import MeasurementRecord, sample_bell, sample_heterodyne
-from .numerics import (SymmetricUnitary, check_int, check_mode_count, make_rng,
-                       random_symmetric_unitary)
+from .numerics import (SymmetricUnitary, check_finite, check_int, check_mode_count,
+                       check_real, make_rng, random_symmetric_unitary)
 from .states import (
     PeakState,
     bell_partner,
@@ -58,15 +58,22 @@ def parse_cvector(text: str, n: int | None = None) -> np.ndarray:
     return vec
 
 
+def finite_float(text: str) -> float:
+    """argparse type for real options: NaN and +-inf are usage errors, as in the library."""
+    try:
+        check_real(value := float(text), text)
+        return value
+    except ValueError:   # not a number, or not a finite one
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+
+
 def positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
     try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        check_int(value := int(text), text, 1)
+        return value
+    except ValueError:   # not an integer, or one below 1
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
 
 
 def _load_json(path):
@@ -77,10 +84,18 @@ def _load_json(path):
             raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _json_text(payload, **options) -> str:
+    """Sorted JSON text of payload; a NaN or an infinity in it is a NumericFailure."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **options)
+    except ValueError as exc:
+        raise NumericFailure(f"output holds a number JSON cannot write: {exc}") from exc
+
+
 def _dump_json(path, payload):
+    text = _json_text(payload, indent=2)   # before the file opens, so none is left half written
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _complex_rows(raw, what: str) -> np.ndarray:
@@ -92,6 +107,7 @@ def _complex_rows(raw, what: str) -> np.ndarray:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"{what} must be a list of rows of {{re, im}} objects: {exc!r}") from exc
+    check_finite(m, what)
     return m
 
 
@@ -184,7 +200,7 @@ def cmd_state_classicality(args) -> int:
     payload = {"s_max": rep.s_max, "s_prime": rep.s_prime,
                "c_classicality": None if math.isinf(rep.c) else rep.c,
                "config": _resolved(args)}
-    _dump_json(args.out, payload) if args.out else print(json.dumps(payload, sort_keys=True))
+    _dump_json(args.out, payload) if args.out else print(_json_text(payload))
     return 0
 
 
@@ -235,7 +251,7 @@ def cmd_game_run(args) -> int:
     if args.log:
         with open(args.log, "w") as fh:
             for entry in result.per_trial:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                fh.write(_json_text(entry) + "\n")
     payload = result.to_json_dict()
     payload["config"] = cfg.to_json_dict()
     payload["constants_version"] = CONSTANTS_VERSION
@@ -271,8 +287,8 @@ def _add_state_source(p, require_seed=False):
     p.add_argument("--state", help="peak-state JSON file")
     p.add_argument("--family", choices=["thermal", "three-peak", "five-peak"])
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--eps0", type=float)
+    p.add_argument("--nu", type=finite_float)
+    p.add_argument("--eps0", type=finite_float)
     p.add_argument("--gamma", help="comma-separated a+bi literals")
     p.add_argument("--u-file",
                    help='symmetric unitary JSON file: rows of {re, im} objects or {"seed": k}')
@@ -295,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True, help="output prefix")
     ev.set_defaults(func=cmd_state_eval)
     cl = ssub.add_parser("classicality", help="s_max report for a three-peak state")
-    cl.add_argument("--nu", type=float, required=True)
-    cl.add_argument("--eps0", type=float, required=True)
+    cl.add_argument("--nu", type=finite_float, required=True)
+    cl.add_argument("--eps0", type=finite_float, required=True)
     cl.add_argument("--gamma", required=True)
     cl.add_argument("--out")
     cl.set_defaults(func=cmd_state_classicality)
@@ -314,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON: list of points, each a list of {re, im} components")
     est.add_argument("--scheme", required=True,
                      choices=["bell-chi2", "bell-chi", "heterodyne", "classicality-aware"])
-    est.add_argument("--epsilon", type=float)
-    est.add_argument("--classicality", type=float)
+    est.add_argument("--epsilon", type=finite_float)
+    est.add_argument("--classicality", type=finite_float)
     est.add_argument("--out", required=True)
     est.set_defaults(func=cmd_estimate)
 
@@ -325,16 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--axis", choices=list(bounds_mod.CURVE_AXES), required=True)
     curve.add_argument("--families", required=True,
                        help=f"comma list from {sorted(BOUND_FAMILIES)}")
-    curve.add_argument("--grid-min", type=float, required=True)
-    curve.add_argument("--grid-max", type=float, required=True)
+    curve.add_argument("--grid-min", type=finite_float, required=True)
+    curve.add_argument("--grid-max", type=finite_float, required=True)
     curve.add_argument("--points", type=positive_int, default=50)
-    curve.add_argument("--epsilon", type=float, required=True)
-    curve.add_argument("--delta", type=float, default=1 / 3)
-    curve.add_argument("--kappa", type=float, default=2.0)
+    curve.add_argument("--epsilon", type=finite_float, required=True)
+    curve.add_argument("--delta", type=finite_float, default=1 / 3)
+    curve.add_argument("--kappa", type=finite_float, default=2.0)
     curve.add_argument("--n", type=int, default=8)
     curve.add_argument("--k-copies", type=int, default=1)
-    curve.add_argument("--classicality", type=float)
-    curve.add_argument("--eta3", type=float, default=1e-6)
+    curve.add_argument("--classicality", type=finite_float)
+    curve.add_argument("--eta3", type=finite_float, default=1e-6)
     curve.add_argument("--m-points", type=positive_int, default=1)
     curve.add_argument("--out", required=True)
     curve.set_defaults(func=cmd_bounds_curve)
@@ -351,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = chan.add_subparsers(dest="subcommand", required=True)
     chk = csub.add_parser("check")
     _add_state_source(chk)
-    chk.add_argument("--r", type=float, required=True)
+    chk.add_argument("--r", type=finite_float, required=True)
     chk.add_argument("--sets", type=positive_int, default=100)
     chk.add_argument("--out", required=True)
     chk.set_defaults(func=cmd_channel_check)

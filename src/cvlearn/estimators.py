@@ -16,8 +16,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericFailure, ValidationError
 from .measurements import MeasurementRecord, phase_matrix, run_beside
+from .numerics import check_finite, check_int, check_real
 
 SCHEMES = ("bell_chi2", "bell_chi", "heterodyne", "classicality_aware")
 
@@ -31,12 +32,9 @@ class PlannerInputs:
     S: float | None = None            # classicality floor
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValidationError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValidationError(f"delta must lie in (0,1), got {self.delta}")
-        if self.M < 1:
-            raise ValidationError(f"M must be >= 1, got {self.M}")
+        check_real(self.epsilon, "epsilon must lie in (0,1)", 0.0, 1.0)
+        check_real(self.delta, "delta must lie in (0,1)", 0.0, 1.0)
+        check_int(self.M, "M", 1)
 
 
 @dataclass(frozen=True)
@@ -69,10 +67,8 @@ def hoeffding_count_float(bound: float, eps_target: float, delta: float, m: int)
 
 def effective_radius(classicality: float, epsilon: float) -> float:
     """L_eps(S) = (2/S) log(1/eps): beyond it the zero estimate is eps-accurate."""
-    if classicality <= 0:
-        raise ValidationError("effective radius needs a positive classicality floor")
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError(f"epsilon must lie in (0,1), got {epsilon}")
+    check_real(classicality, "effective radius needs a positive classicality floor", 0.0)
+    check_real(epsilon, "epsilon must lie in (0,1)", 0.0, 1.0)
     return (2.0 / classicality) * math.log(1.0 / epsilon)
 
 
@@ -92,10 +88,10 @@ def scheme_cost(scheme: str, inputs: PlannerInputs) -> tuple[float, float]:
         return 1.0, eps
     if scheme == "bell_chi":
         return 1.0, eps * eps / 3.0
-    if scheme == "heterodyne" and (inputs.alpha2_max is None or inputs.alpha2_max < 0):
-        raise ValidationError("heterodyne planning needs alpha2_max >= 0")
-    if scheme == "classicality_aware" and (inputs.S is None or not (0.0 < inputs.S <= 1.0)):
-        raise ValidationError("classicality-aware planning needs S in (0, 1]")
+    if scheme == "heterodyne":
+        check_real(inputs.alpha2_max, "heterodyne planning needs alpha2_max >= 0", 0.0, ends="[)")
+    else:
+        check_real(inputs.S, "classicality-aware planning needs S in (0, 1]", 0.0, 1.0, "(]")
     try:
         return (math.exp(inputs.alpha2_max / 2.0) if scheme == "heterodyne"
                 else eps ** (-1.0 / inputs.S)), eps
@@ -235,8 +231,7 @@ def resolve_sign(v_hat: complex, epsilon: float) -> complex:
     principal square root. Whenever |v - chi^2| <= eps^2/3 this guarantees
     min over tau in {+-1} of |tau sqrt(v) - chi| <= eps.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError(f"epsilon must lie in (0,1), got {epsilon}")
+    check_real(epsilon, "epsilon must lie in (0,1)", 0.0, 1.0)
     v = complex(v_hat)
     if abs(v) <= (2.0 / 3.0) * epsilon * epsilon:
         return 0.0 + 0.0j
@@ -251,12 +246,12 @@ def estimate_record(record: MeasurementRecord, alphas, scheme: str,
     bell_chi2 estimates chi^2; bell_chi resolves its sign to chi (needs
     epsilon); heterodyne estimates chi; classicality_aware estimates chi
     inside the effective radius L_eps(S) and reports zero beyond it (needs
-    epsilon and S).
+    epsilon and S). An epsilon, where given, must lie in (0, 1).
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if scheme in ("bell_chi", "classicality_aware") and epsilon is None:
-        raise ValidationError(f"{scheme} estimation needs epsilon")
+    if epsilon is not None or scheme in ("bell_chi", "classicality_aware"):
+        check_real(epsilon, "epsilon must lie in (0,1)", 0.0, 1.0)
     need = "bell" if scheme.startswith("bell") else "heterodyne"
     if record.scheme != need:
         raise ValidationError(f"record holds {record.scheme!r} outcomes, need {need!r}")
@@ -264,18 +259,18 @@ def estimate_record(record: MeasurementRecord, alphas, scheme: str,
     if pts.ndim != 2 or pts.shape[1] != record.n:
         raise ValidationError(
             f"query points must be rows of {record.n} components, got shape {pts.shape}")
+    check_finite(pts, "query points")
     truncated = np.zeros(len(pts), dtype=bool)
     if scheme == "classicality_aware":
-        if classicality is None or classicality <= 0:
-            raise ValidationError(
-                "classicality-aware estimation needs S > 0; use the plain estimator otherwise")
-        if classicality > 1.0:
-            raise ValidationError(f"classicality floor must lie in (0,1], got {classicality}")
+        check_real(classicality, "classicality-aware estimation needs S in (0,1]; "
+                   "use the plain estimator for S <= 0", 0.0, 1.0, "(]")
         truncated = np.sum(np.abs(pts) ** 2, axis=1) >= effective_radius(classicality, epsilon)
     est = np.zeros(len(pts), dtype=complex)
     if not truncated.all():
         means = chi_squared_means if record.scheme == "bell" else chi_heterodyne_means
         est[~truncated] = means(record.outcomes, pts[~truncated])
+    if not np.isfinite(est).all():
+        raise NumericFailure(f"the mean at query point {pts[~np.isfinite(est)][0]} overflows")
     if scheme == "bell_chi":
         est = [resolve_sign(v, epsilon) for v in est]
     return [EstimateReport(point=[[z.real, z.imag] for z in p], estimate=complex(e),

@@ -19,9 +19,10 @@ import numpy as np
 from .errors import ValidationError
 from .estimators import chi_heterodyne_means, chi_squared_means
 from .measurements import SignedGaussianMixture, pair_log_brackets, pair_projection, peak_mixtures
-from .numerics import (SymmetricUnitary, check_int, make_rng, regularized_upper_gamma,
-                       sample_complex_gaussian)
-from .states import PeakState, _check_eps0, char_fn, filter_variances, make_thermal, peak_layout
+from .numerics import (SymmetricUnitary, check_int, check_real, make_rng,
+                       regularized_upper_gamma, sample_complex_gaussian)
+from .states import (EPS0_RANGE, PeakState, char_fn, filter_variances, make_thermal,
+                     peak_layout)
 
 FAMILIES = ("three_peak", "five_peak")
 TRIAL_ROWS = 1 << 16   # copy rows a chunk of trials draws and estimates at once
@@ -54,11 +55,9 @@ class GameConfig:
         for key, low in (("n", 1), ("copies", 1), ("trials", 1), ("seed", 0),
                          ("tvd_gamma_draws", 1), ("tvd_mc_samples", 1)):
             check_int(getattr(self, key), key, low)
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValidationError(f"kappa must be a finite number > 0, got {self.kappa!r}")
-        if not (0.0 < self.nu < 1.0):
-            raise ValidationError(f"nu must lie in (0, 1), got {self.nu!r}")
-        _check_eps0(self.eps0)
+        check_real(self.kappa, "kappa must be a finite number > 0", 0.0)
+        check_real(self.nu, "nu must lie in (0, 1)", 0.0, 1.0)
+        check_real(self.eps0, *EPS0_RANGE)
         if not set(self.order) <= {"o", "r"} or not self.order:
             raise ValidationError("order must be a nonempty string over {o, r}")
         if self.u is None:
@@ -109,8 +108,8 @@ class GameResult:
 
 def window_probability(n: int, sigma2: float, sigma_gamma2: float, kappa: float) -> float:
     """Pr(2 sigma^2 < |gamma|^2 <= kappa n) under the Gaussian gamma draw."""
-    if min(sigma2, sigma_gamma2, kappa) <= 0:
-        raise ValidationError("window probability needs positive parameters")
+    for x in (sigma2, sigma_gamma2, kappa):
+        check_real(x, "window probability needs positive parameters", 0.0)
     return (regularized_upper_gamma(n, sigma2 / sigma_gamma2)
             - regularized_upper_gamma(n, kappa * n / (2.0 * sigma_gamma2)))
 
@@ -122,8 +121,8 @@ def five_peak_window_probability(n: int, sigma2: float, sigma_gamma2: float,
     The Takagi factor V only rotates gamma, so the probability is V-independent;
     the half-integer shapes come from splitting the 2n real coordinates.
     """
-    if min(sigma2, sigma_gamma2, kappa) <= 0:
-        raise ValidationError("window probability needs positive parameters")
+    for x in (sigma2, sigma_gamma2, kappa):
+        check_real(x, "window probability needs positive parameters", 0.0)
     p_r = (regularized_upper_gamma(n / 2.0, sigma2 / sigma_gamma2)
            - regularized_upper_gamma(n / 2.0, kappa * n / (3.0 * sigma_gamma2)))
     p_i = 1.0 - regularized_upper_gamma(n / 2.0, kappa * n / (6.0 * sigma_gamma2))
@@ -233,8 +232,8 @@ def tvd_pair(density0, density_mixture, n_copies: int, gamma_draws,
 
 def per_copy_tvd_bound(sigma_gamma2: float, n: int, eps0: float, copies: int):
     """The 16 N eps0^2 (1 + 2 sigma_gamma^2)^-n envelope and the N needed for TVD 1/6."""
-    if sigma_gamma2 < 0 or eps0 <= 0:
-        raise ValidationError("per-copy bound needs sigma_gamma2 >= 0 and eps0 > 0")
+    check_real(sigma_gamma2, "per-copy bound needs sigma_gamma2 >= 0", 0.0, ends="[)")
+    check_real(eps0, "per-copy bound needs eps0 > 0", 0.0)
     suppression = (1.0 + 2.0 * sigma_gamma2) ** n
     tvd_bound = 16.0 * copies * eps0 ** 2 / suppression
     n_min = suppression / (96.0 * eps0 ** 2)

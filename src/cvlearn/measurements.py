@@ -26,7 +26,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .errors import ValidationError, NumericFailure
-from .numerics import check_int, check_mode_count, make_rng
+from .numerics import check_finite, check_int, check_mode_count, make_rng
 from .states import (PEAK_DROP, PeakState, char_fn, family_runs, filter_a, filter_variances,
                      hermitian_partners, merge_family, s_ordered_peaks)
 
@@ -448,8 +448,7 @@ class MeasurementRecord:
         self.outcomes = np.asarray(self.outcomes, dtype=complex).reshape(-1, self.n)
         if self.outcomes.shape[0] < 1:
             raise ValidationError("measurement record must hold at least one outcome")
-        if not np.isfinite(self.outcomes).all():
-            raise ValidationError("measurement record outcomes must be finite")
+        check_finite(self.outcomes, "measurement record")
 
     @property
     def count(self) -> int:
@@ -521,11 +520,14 @@ def _parse_rows(lines: list, width: int) -> np.ndarray:
     # closing it and every newline inside a "]\n[", each line opens and
     # closes one array, and the bracket counts leave none inside it; the
     # commas fix each line's width, which the total alone would not (rows of
-    # 3 and 1 values pass on their sum)
+    # 3 and 1 values pass on their sum). A string, true, false and null each
+    # hold a byte that no number does, and np.array would read "0.1" and true
+    # as numbers
     if not (text.startswith(b"[") and text.endswith(b"]")
             and text.count(b"[") == text.count(b"]") == len(lines)
             == text.count(b"]\n[") + 1
-            and set(map(bytes.count, lines, repeat(b","))) == {width - 1}):
+            and set(map(bytes.count, lines, repeat(b","))) == {width - 1}
+            and not any(byte in text for byte in b'"tfn')):
         raise ValueError(f"each row must be one JSON array of {width} numbers "
                          "on its own line")
     text = text.replace(b"]\n[", b",")   # one flat array; the joined text is freed

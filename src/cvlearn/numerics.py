@@ -1,5 +1,6 @@
-"""Shared numerical primitives: regularized incomplete gamma, Takagi
-factorization of symmetric unitaries, complex Gaussian sampling, PSD checks.
+"""Shared numerical primitives: the package's input checks, regularized
+incomplete gamma, Takagi factorization of symmetric unitaries, complex
+Gaussian sampling, PSD checks.
 
 The incomplete gamma and the Takagi factor wrap SciPy (``special.gammaincc``
 and ``linalg.sqrtm``); this module adds their input and reconstruction checks.
@@ -13,7 +14,8 @@ so Monte Carlo work can be distributed over independent streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -32,6 +34,26 @@ def check_int(value, name: str, low: int = 0):
     a float (even 2.0), a string or a bool is not one, so JSON is read as written."""
     if not _is_int(value, low):
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(value, what: str, low: float = -inf, high: float = inf, ends: str = "()"):
+    """Raises ``ValidationError(f"{what}, got {value!r}")`` unless value is a finite
+    real number inside the interval from low to high: a bool or a string is not
+    one, and NaN or +-inf lies in no interval. `ends` holds the interval's
+    brackets, "(" or "[" at the low end and ")" or "]" at the high end."""
+    try:
+        finite = isinstance(value, Real) and not isinstance(value, bool) and isfinite(value)
+    except OverflowError:   # an int beyond every float
+        finite = False
+    if not (finite and (low < value if ends[0] == "(" else low <= value)
+            and (value < high if ends[1] == ")" else value <= high)):
+        raise ValidationError(f"{what}, got {value!r}")
+
+
+def check_finite(array, what: str):
+    """Raises ``ValidationError`` naming `what` unless every entry of array is finite."""
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{what} has non-finite entries")
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -55,14 +77,8 @@ def regularized_upper_gamma(shape: float, x: float) -> float:
     Checks that both inputs are finite, shape > 0 and x >= 0, and raises
     ``ValidationError`` otherwise. Q(shape, 0) = 1 and Q stays in [0, 1].
     """
-    shape = float(shape)
-    x = float(x)
-    if not (isfinite(shape) and isfinite(x)):
-        raise ValidationError("regularized_upper_gamma requires finite inputs")
-    if shape <= 0:
-        raise ValidationError(f"shape must be > 0, got {shape}")
-    if x < 0:
-        raise ValidationError(f"x must be >= 0, got {x}")
+    check_real(shape, "shape must be > 0", 0.0)
+    check_real(x, "x must be >= 0", 0.0, ends="[)")
     from scipy import special  # imported here: it adds about 0.25 s to `import cvlearn`
 
     return float(special.gammaincc(shape, x))
@@ -81,6 +97,7 @@ def _as_square_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError(f"expected a non-empty square matrix, got shape {m.shape}")
+    check_finite(m, "matrix")
     return m
 
 
@@ -164,8 +181,7 @@ def sample_complex_gaussian(n: int, variance: float, count: int,
     Each of the 2n real coordinates is N(0, variance). Returns an array of
     shape (count, n), complex.
     """
-    if variance < 0:
-        raise ValidationError(f"variance must be >= 0, got {variance}")
+    check_real(variance, "variance must be >= 0", 0.0, ends="[)")
     check_int(count, "count", 1)
     if variance == 0.0:
         return np.zeros((count, n), dtype=complex)

@@ -22,24 +22,16 @@ from math import log
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import SymmetricUnitary, check_mode_count
+from .numerics import SymmetricUnitary, check_finite, check_mode_count, check_real
 
 MERGE_TOL = 1e-12
 PEAK_DROP = 1e-15   # merged peaks with |weight| <= this are dropped
 EXP_FLOOR = -745.0  # exp() underflows to 0 below this; clamp to avoid noise
+EPS0_RANGE = ("eps0 must lie in (0, 1/4] for guaranteed positivity", 0.0, 0.25, "(]")
 
 
 def _clamped_exp(x):
     return np.exp(np.maximum(x, EXP_FLOOR))
-
-
-def _as_center_array(gamma, n: int) -> np.ndarray:
-    g = np.atleast_1d(np.asarray(gamma, dtype=complex))
-    if g.shape != (n,):
-        raise ValidationError(f"expected a length-{n} complex vector, got shape {g.shape}")
-    if not np.all(np.isfinite(g.view(float))):
-        raise ValidationError("center vector has non-finite entries")
-    return g
 
 
 def filter_variances(nu: float) -> tuple[float, float]:
@@ -65,10 +57,11 @@ class PeakState:
 
     def __post_init__(self):
         check_mode_count(self.n)
-        if not (0.0 < self.nu < 1.0):
-            raise ValidationError(f"nu must lie in (0, 1), got {self.nu}")
+        check_real(self.nu, "nu must lie in (0, 1)", 0.0, 1.0)
         w = np.atleast_1d(np.asarray(self.weights, dtype=complex))
         c = np.asarray(self.centers, dtype=complex).reshape(len(w), self.n)
+        check_finite(w, "weight vector")
+        check_finite(c, "center vector")
         w, c = merge_coincident(w, c, drop=PEAK_DROP)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "centers", c)
@@ -139,7 +132,7 @@ class PeakState:
         try:
             n = d["n"]
             check_mode_count(n)
-            nu = float(d["nu"])
+            nu = d["nu"]
             raw = d["peaks"]
             weights = np.array([p["w_re"] + 1j * p["w_im"] for p in raw], dtype=complex)
             centers = np.array(
@@ -209,12 +202,6 @@ def merge_coincident(weights: np.ndarray, vectors: np.ndarray, drop: float):
 # Constructors
 # ---------------------------------------------------------------------------
 
-def _check_eps0(eps0: float):
-    if not (0.0 < eps0 <= 0.25):
-        raise ValidationError(
-            f"eps0 must lie in (0, 1/4] for guaranteed positivity, got {eps0}")
-
-
 def make_thermal(n: int, nu: float) -> PeakState:
     check_mode_count(n)
     return PeakState(n=n, nu=nu, weights=np.array([1.0 + 0j]),
@@ -229,12 +216,11 @@ def peak_layout(n: int, eps0: float, gammas, u: SymmetricUnitary | None = None):
     The weights are fixed and the centers linear in gamma, so every member has
     one structure; coincident peaks are merged by PeakState, not here.
     """
-    _check_eps0(eps0)
+    check_real(eps0, *EPS0_RANGE)
     g = np.asarray(gammas, dtype=complex)
     if g.ndim != 2 or g.shape[1] != n:
         raise ValidationError(f"expected (m, {n}) complex centers, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValidationError("center vector has non-finite entries")
+    check_finite(g, "center vector")
     zero = np.zeros_like(g)
     if u is None:
         return (np.array([1.0, 2j * eps0, -2j * eps0], dtype=complex),
@@ -249,14 +235,14 @@ def peak_layout(n: int, eps0: float, gammas, u: SymmetricUnitary | None = None):
 
 def make_three_peak(n: int, nu: float, eps0: float, gamma) -> PeakState:
     """Peaks {(1, 0), (2i eps0, gamma), (-2i eps0, -gamma)}."""
-    weights, centers = peak_layout(n, eps0, _as_center_array(gamma, n)[None])
+    weights, centers = peak_layout(n, eps0, np.atleast_1d(gamma)[None])
     return PeakState(n=n, nu=nu, weights=weights, centers=centers[0], eps0=eps0)
 
 
 def make_five_peak(n: int, nu: float, eps0: float, gamma,
                    u: SymmetricUnitary) -> PeakState:
     """Peaks {(1,0), (+-i eps0, +-gamma), (+-i eps0, +-U^T gamma*)}; reflection symmetric."""
-    weights, centers = peak_layout(n, eps0, _as_center_array(gamma, n)[None], u)
+    weights, centers = peak_layout(n, eps0, np.atleast_1d(gamma)[None], u)
     return PeakState(n=n, nu=nu, weights=weights, centers=centers[0], eps0=eps0)
 
 
@@ -275,8 +261,7 @@ def make_three_peak_classical(n: int, classicality: float, eps0: float, gamma) -
     Uses nu = sqrt((1-S)/(1+S)), the largest nu whose s'(nu) equals S, so
     s_max >= S for every gamma.
     """
-    if not (0.0 < classicality < 1.0):
-        raise ValidationError(f"classicality target must lie in (0,1), got {classicality}")
+    check_real(classicality, "classicality target must lie in (0,1)", 0.0, 1.0)
     nu = float(np.sqrt((1.0 - classicality) / (1.0 + classicality)))
     return make_three_peak(n, nu, eps0, gamma)
 
@@ -348,16 +333,11 @@ def char_fn(state: PeakState, alpha):
 
 def s_char_fn(state: PeakState, s: float, alpha):
     """e^{s |alpha|^2 / 2} chi(alpha)."""
-    _check_s(s)
+    check_real(s, "ordering parameter s must lie in [-1, 1]", -1.0, 1.0, "[]")
     pts, single = _as_points(alpha, state.n)
     abs2 = np.sum(np.abs(pts) ** 2, axis=1)
     vals = _clamped_exp(0.5 * s * abs2) * char_fn(state, pts)
     return vals[0] if single else vals
-
-
-def _check_s(s: float):
-    if not (-1.0 <= s <= 1.0):
-        raise ValidationError(f"ordering parameter s must lie in [-1, 1], got {s}")
 
 
 def s_ordered_peaks(nu: float, s: float, weights, centers):
@@ -383,7 +363,7 @@ def s_qpd(state: PeakState, s: float, beta):
     reduces to the W^(0) (1 + 4 eps0 ...) closed form with coefficients
     f1(s), f2(s) below.
     """
-    _check_s(s)
+    check_real(s, "ordering parameter s must lie in [-1, 1]", -1.0, 1.0, "[]")
     pts, single = _as_points(beta, state.n)
     t, amps, freqs = s_ordered_peaks(state.nu, s, state.weights, state.centers)
     abs2_b = np.sum(np.abs(pts) ** 2, axis=1)
@@ -439,9 +419,8 @@ def s_prime(nu: float) -> float:
 
 def classicality_smax(nu: float, eps0: float, gamma) -> ClassicalityReport:
     """Largest s with a nonnegative s-ordered QPD for the three-peak state."""
-    if not (0.0 < nu < 1.0):
-        raise ValidationError(f"nu must lie in (0,1), got {nu}")
-    _check_eps0(eps0)
+    check_real(nu, "nu must lie in (0, 1)", 0.0, 1.0)
+    check_real(eps0, *EPS0_RANGE)
     g = np.atleast_1d(np.asarray(gamma, dtype=complex))
     g2 = float(np.sum(np.abs(g) ** 2))
     sp = s_prime(nu)

@@ -671,3 +671,118 @@ class TestInputErrors:
                "copies": 10, "trials": 2}
         assert self._game(tmp_path, cfg) == 2
         assert "lacks 'n'" in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    """NaN and +-inf exit 2 as input errors wherever they enter, and no output
+    holds a NaN or an infinity: a mean that overflows exits 3."""
+
+    def _record_and_points(self, tmp_path):
+        return TestInputErrors()._record_and_points(tmp_path)
+
+    @pytest.mark.parametrize("command", [
+        ["channel", "check", "--family", "thermal", "--nu", "0.6", "--r"],
+        ["estimate", "--record", "r.jsonl", "--points", "p.json", "--scheme",
+         "classicality-aware", "--epsilon", "0.1", "--classicality"],
+        ["state", "eval", "--family", "thermal", "--nu", "0.6", "--eps0"],
+        ["bounds", "curve", "--axis", "n", "--families", "lb_ef", "--grid-min", "8",
+         "--grid-max", "20", "--epsilon", "0.09", "--kappa"]])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_option_is_usage_error(self, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:   # --r=-inf: "-inf" alone reads as an option
+            main(command[:-1] + [f"{command[-1]}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"expected a finite number, got '{value}'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_nan_u_file_is_2(self, tmp_path, capsys):
+        # NaN passed both unitary checks (nan > tol is False), and the
+        # reflected peaks' NaN centers merged into the anchor
+        ufile = tmp_path / "u.json"
+        ufile.write_text('[[{"re": NaN, "im": 0.0}]]')
+        out = tmp_path / "r.jsonl"
+        rc = main(["sample", "--family", "five-peak", "--nu", "0.5", "--eps0", "0.2",
+                   "--gamma", "0.5", "--u-file", str(ufile), "--scheme", "heterodyne",
+                   "--count", "10", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert "--u-file has non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", [
+        ["sample", "--scheme", "heterodyne", "--count", "10", "--seed", "1"],
+        ["oracle", "check"]])
+    def test_non_finite_state_center_is_2(self, tmp_path, capsys, value, command):
+        # a NaN center merged into the anchor, and +-inf ones made the state thermal
+        text = make_three_peak(1, 0.5, 0.2, np.array([0.8])).to_json()
+        spath = tmp_path / "st.json"
+        spath.write_text(text.replace('"re": 0.8', f'"re": {value}', 1))
+        assert value in spath.read_text()
+        out = tmp_path / "out"
+        assert main(command + ["--state", str(spath), "--out", str(out)]) == 2
+        assert "center vector has non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_query_point_is_2(self, tmp_path, capsys, value):
+        rec, pts = self._record_and_points(tmp_path)
+        pts.write_text(f'[[{{"re": 0.5, "im": {value}}}]]')
+        out = tmp_path / "e.json"
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "heterodyne", "--out", str(out)])
+        assert rc == 2
+        assert "--points has non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["heterodyne", "bell-chi2"])
+    def test_epsilon_outside_unit_interval_is_2_for_every_scheme(self, tmp_path, capsys,
+                                                                   scheme):
+        # the epsilon a report carries was written unchecked for these schemes
+        rec, pts = self._record_and_points(tmp_path)
+        if scheme == "bell-chi2":
+            rec = tmp_path / "bell.jsonl"
+            assert main(["sample", "--family", "thermal", "--nu", "0.5", "--scheme", "bell",
+                         "--count", "10", "--seed", "1", "--out", str(rec)]) == 0
+        out = tmp_path / "e.json"
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts), "--scheme", scheme,
+                   "--epsilon", "5", "--out", str(out)])
+        assert rc == 2
+        assert "epsilon must lie in (0,1), got 5.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_heterodyne_mean_is_3(self, tmp_path, capsys):
+        # |alpha|^2 = 1600: e^{|alpha|^2/2} overflows, and the estimate was [NaN, NaN]
+        rec, pts = self._record_and_points(tmp_path)
+        pts.write_text(json.dumps([[{"re": 0.5, "im": 0.0}], [{"re": 40.0, "im": 0.0}]]))
+        out = tmp_path / "e.json"
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "heterodyne", "--out", str(out)])
+        assert rc == 3
+        assert "the mean at query point [40.+0.j] overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_output_is_3(self, tmp_path, capsys, monkeypatch):
+        from cvlearn import fock_oracle
+
+        monkeypatch.setattr(fock_oracle, "oracle_check",
+                            lambda *args, **kwargs: {"min_eigenvalue": float("nan")})
+        out = tmp_path / "oracle.json"
+        rc = main(["oracle", "check", "--family", "thermal", "--nu", "0.5", "--out", str(out)])
+        assert rc == 3
+        assert "numeric failure: output holds a number JSON cannot write" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ['["0.1", "0.2"]', "[true, false]", '[1e3, "5"]',
+                                     "[null, 0.2]", "[0.1, NaN]", "[-Infinity, 0.2]"])
+    def test_record_value_that_is_not_a_number_is_2(self, tmp_path, capsys, row):
+        rec, pts = self._record_and_points(tmp_path)
+        lines = rec.read_text().splitlines(keepends=True)
+        rec.write_text("".join(lines[:-1]) + row + "\n")
+        out = tmp_path / "e.json"
+        rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                   "--scheme", "heterodyne", "--out", str(out)])
+        assert rc == 2
+        assert "malformed measurement record" in capsys.readouterr().err
+        assert not out.exists()

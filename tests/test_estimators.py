@@ -1,7 +1,12 @@
 """Estimator and planner tests: unbiasedness, the sign-resolution contract,
 truncation behavior, and the planner's normative constants."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +291,44 @@ class TestPhaseFactorDeterminism:
                                                       self.chunk)
         assert all(np.array_equal(run, runs[0]) for run in runs[1:])
         assert np.array_equal(runs[0], in_order)
+
+
+# Prints the sha256 of chi_squared_means' bytes in two cases: float32 at M=10
+# over three blocks of 104,857 rows, where each block's query rows are split
+# between two threads and the matmul is sliced, and float64 in one block,
+# where one whole matmul runs and OpenBLAS may use its thread pool.
+MEANS_DIGESTS = """
+import hashlib, json
+import numpy as np
+from cvlearn.estimators import chi_squared_means
+from cvlearn.numerics import make_rng
+
+digests = []
+for count, dtype in ((300_000, np.float32), (100_000, np.float64)):
+    rng = make_rng(58)
+    z = rng.normal(size=(count, 4)).view(complex)
+    alphas = 0.7 * rng.normal(size=(10, 4)).view(complex)
+    means = chi_squared_means(z, alphas, dtype=dtype)
+    digests.append(hashlib.sha256(means.tobytes()).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+class TestBitsAcrossBlasThreads:
+    def test_one_openblas_thread_gives_the_default_bits(self, capsys):
+        # OpenBLAS reads its thread count when it loads, so each count runs in
+        # a fresh interpreter: one thread, and the default (unset). This
+        # process, whatever its count, must agree with both.
+        exec(MEANS_DIGESTS, {})
+        here = json.loads(capsys.readouterr().out)
+        src = str(Path(estimators.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+            proc = subprocess.run([sys.executable, "-c", MEANS_DIGESTS], capture_output=True,
+                                  text=True, env=env | threads)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == here, threads
 
 
 class TestEstimateRecord:

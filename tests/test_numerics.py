@@ -5,6 +5,7 @@ and round-trip reconstruction for the Takagi factorization.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from cvlearn.errors import ValidationError
 from cvlearn.numerics import (
     SymmetricUnitary,
     TakagiFactor,
+    check_finite,
+    check_real,
     make_rng,
     psd_check,
     random_symmetric_unitary,
@@ -216,3 +219,42 @@ class TestPsdCheck:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0.5, 1, np.float32(0.25), np.float64(0.75), np.int64(1),
+                                       Fraction(1, 3)])
+    def test_finite_reals_in_the_interval_pass(self, value):
+        check_real(value, "v", 0.0, 1.0, "(]")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32("nan"),
+                                       np.float64("inf"), True, False, "0.5", None, 0.5j,
+                                       np.array([0.5]), 10 ** 400, -(10 ** 400)])
+    def test_non_finite_or_non_real_fails_every_interval(self, value):
+        # no bounds at all: only finiteness and the type are checked
+        with pytest.raises(ValidationError, match=r"^v must be real, got "):
+            check_real(value, "v must be real")
+
+    @pytest.mark.parametrize("ends, low_in, high_in", [("()", False, False), ("[)", True, False),
+                                                       ("(]", False, True), ("[]", True, True)])
+    def test_ends_close_or_open_the_interval(self, ends, low_in, high_in):
+        for value, inside in ((-1.0, low_in), (2.0, high_in), (0.5, True),
+                              (-1.0 - 1e-12, False), (2.0 + 1e-12, False)):
+            if inside:
+                check_real(value, "v", -1.0, 2.0, ends)
+            else:
+                with pytest.raises(ValidationError, match=f"v, got {value!r}$"):
+                    check_real(value, "v", -1.0, 2.0, ends)
+
+
+class TestCheckFinite:
+    def test_finite_arrays_pass(self):
+        check_finite(np.array([[1.0 + 2j, -3.0]]), "a")
+        check_finite([0.0, 1e308], "a")
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf])
+    def test_one_non_finite_entry_fails(self, bad):
+        a = np.zeros((3, 2), dtype=complex)
+        a[2, 1] = bad
+        with pytest.raises(ValidationError, match="^a has non-finite entries$"):
+            check_finite(a, "a")
