@@ -25,7 +25,7 @@ from .errors import NumericFailure, ValidationError
 from .estimators import estimate_record
 from .game import GameConfig, run_game
 from .measurements import MeasurementRecord, sample_bell, sample_heterodyne
-from .numerics import (SymmetricUnitary, check_finite, check_int, check_mode_count,
+from .numerics import (SymmetricUnitary, check_complex, check_int, check_mode_count,
                        check_real, make_rng, random_symmetric_unitary)
 from .states import (
     PeakState,
@@ -99,15 +99,16 @@ def _dump_json(path, payload):
 
 
 def _complex_rows(raw, what: str) -> np.ndarray:
-    """A JSON list of rows of {"re", "im"} objects as a 2-D complex array."""
+    """A JSON list of rows of {"re", "im"} objects, finite numbers, as a 2-D complex array."""
     try:
-        m = np.array([[z["re"] + 1j * z["im"] for z in row] for row in raw], dtype=complex)
+        m = np.array([[check_complex(z["re"], z["im"], what) for z in row] for row in raw])
         if m.ndim != 2:
             raise ValueError(f"got shape {m.shape}")
+    except ValidationError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"{what} must be a list of rows of {{re, im}} objects: {exc!r}") from exc
-    check_finite(m, what)
     return m
 
 

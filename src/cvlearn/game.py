@@ -194,7 +194,7 @@ def tvd_pair(density0, density_mixture, n_copies: int, gamma_draws,
     mixture must share its variance; anything else raises ValidationError.
     Then log p_+-/p0 = log b_+-, which reads an outcome only through its
     angles theta = [Re z | Im z] Phi, Gaussian under the null: for each gamma
-    and block, theta = w L is drawn from `mc_samples * count` rows of
+    and block, theta = L^T w is drawn from `mc_samples * count` rows of
     standard normals w and the pair's factor L (`pair_projection`), with no
     rejection and no Gaussian parts. A +-gamma pair shares its cos/sin.
     """
@@ -218,9 +218,9 @@ def tvd_pair(density0, density_mixture, n_copies: int, gamma_draws,
                     f"the (plus, minus) mixtures' variances ({mix_p.variance}, "
                     f"{mix_m.variance}) differ from the null's {mix0.variance}")
             factor, mirrored = pair_projection(mix_p, mix_m)
-            theta = rng.standard_normal((mc_samples * count, factor.shape[0])) @ factor
+            w = rng.standard_normal((mc_samples * count, factor.shape[0]))
             lp, lm = (lb.reshape(mc_samples, count).sum(axis=1)
-                      for lb in pair_log_brackets(mix_p, mix_m, theta, mirrored))
+                      for lb in pair_log_brackets(mix_p, mix_m, w, factor, mirrored))
             log_plus += lp
             log_minus += lm
         ratio = 0.5 * (np.exp(log_plus) + np.exp(log_minus))

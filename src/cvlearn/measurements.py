@@ -7,9 +7,9 @@ with `.` the unconjugated dot product: linear, sum_j c_j e_j, for heterodyne;
 quadratic, e^T C e, for Bell, whose oscillations are the pair sums f_j + f_k.
 Hermitian pairing makes a partner's phasor the conjugate, so the bracket is a
 real quadratic form in one cos/sin per +/- peak pair. `phase_matrix` is the
-one definition of the phase map Im(zeta . f), shared with the estimators.
-Dropping the oscillations and taking moduli gives a dominating envelope,
-which makes rejection sampling exact.
+one definition of the phase map Im(zeta . f), and `angles` applies it to
+every sample the package reads. Dropping the oscillations and taking moduli
+gives a dominating envelope, which makes rejection sampling exact.
 
 The sampler and the estimators share one worker thread (`run_beside`), so a
 large call uses a second CPU without changing a bit of its result.
@@ -35,6 +35,7 @@ PAIR_TOL = 1e-10    # |f_j + f_partner| and |Im Q| allowed by Hermitian pairing
 FAMILY_CHUNK = 256  # members built at once by peak_mixtures
 SAMPLE_BLOCK = 1 << 16  # largest block of proposal rows sample draws and tests at once
 RECORD_BLOCK = 1 << 14  # record rows written or read at once
+MATMUL_MACS = 200_000   # multiply-adds per matmul call of `angles`
 
 _worker = None   # the executor behind run_beside, made on first use
 _worker_lock = threading.Lock()
@@ -76,6 +77,32 @@ def phase_matrix(freqs) -> np.ndarray:
     return np.concatenate([f.imag.swapaxes(-1, -2), f.real.swapaxes(-1, -2)], axis=-2)
 
 
+def angles(phase_t, blocks, out) -> np.ndarray:
+    """Writes phase_t @ [Re z | Im z]^T into `out` (..., R, rows) and returns it.
+
+    `phase_t` (..., R, 2n) is Phi^T, cast to out's dtype. `blocks`, all of one
+    depth, stack along axis -2 to the coordinates (..., 2n, rows) in any
+    layout; each later block's product is added to the first's. Blocks one
+    deep are multiplied elementwise, deeper ones by matmul calls of at least
+    two columns and at most about MATMUL_MACS multiply-adds, which OpenBLAS
+    runs on the calling thread, not in a pool beside `run_beside`'s worker:
+    the bits of one whole matmul on one thread, at any thread count.
+    """
+    phase_t = phase_t.astype(out.dtype, copy=False)
+    depth, (pairs, rows) = blocks[0].shape[-2], out.shape[-2:]
+    product = np.matmul if depth > 1 else np.multiply
+    step = max(2, MATMUL_MACS // (max(pairs, 1) * depth))
+    cuts = list(range(step, rows - 1, step))   # no one-column slice at the end
+    for cols in map(slice, [0, *cuts], [*cuts, rows]):
+        for i, block in enumerate(blocks):
+            w = phase_t[..., i * depth:(i + 1) * depth]
+            if i:
+                out[..., cols] += product(w, block[..., cols])
+            else:
+                product(w, block[..., cols], out=out[..., cols])
+    return out
+
+
 class SignedGaussianMixture:
     """N_V(zeta) times a bracket in the peak phasors e_j = exp(i Im(f_j . zeta)).
 
@@ -94,28 +121,8 @@ class SignedGaussianMixture:
                                               np.asarray(coefs, dtype=complex)[None])[0]))
 
     # -- evaluation ---------------------------------------------------------
-    def _phasors(self, re: np.ndarray, im: np.ndarray) -> list:
-        """x = [1, cos th_1, sin th_1, ...] at outcomes re + i im (each (m, n)), in their dtype.
-
-        x_0 = 1 never multiplies (terms with a = 0 are linear), so it is None.
-        Each angle th_r = [re | im] @ Phi[:, r] is summed coordinate by
-        coordinate into its own contiguous row, without BLAS: `sample` runs
-        this beside its draws, where OpenBLAS would wake its thread pool.
-        """
-        rows, pairs = len(re), self._phase.shape[1]
-        if not pairs:
-            return [None]
-        coords = [*re.T, *im.T]
-        theta = np.empty((pairs, rows), dtype=re.dtype)
-        term = np.empty(rows, dtype=re.dtype)
-        for th, weights in zip(theta, self._phase.T.astype(re.dtype.type)):
-            np.multiply(coords[0], weights[0], out=th)
-            for coord, w in zip(coords[1:], weights[1:]):
-                th += np.multiply(coord, w, out=term)
-        return _angle_phasors(theta.T)
-
     def _fold(self, x: list, rows: int, dt) -> np.ndarray:
-        """x^T Q x over `rows` outcomes from their phasors x (`_phasors`), in dtype dt."""
+        """x^T Q x over `rows` outcomes from their phasors x (`_cos_sin`), in dtype dt."""
         out = np.full(rows, self._const, dtype=dt)
         for a, b, c in self._terms:
             term = dt(c) * x[b]
@@ -126,7 +133,9 @@ class SignedGaussianMixture:
 
     def _bracket(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
         """x^T Q x at outcomes re + i im (each (m, n)), in their own dtype."""
-        return self._fold(self._phasors(re, im), re.shape[0], re.dtype.type)
+        x = _cos_sin(angles(self._phase.T, [re.T, im.T],
+                            np.empty((self._phase.shape[1], len(re)), dtype=re.dtype)))
+        return self._fold(x, len(re), re.dtype.type)   # the angles are freed by now
 
     @property
     def is_plain_gaussian(self) -> bool:
@@ -229,17 +238,13 @@ def _log_bracket(bracket: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(bracket, 1e-300))
 
 
-def _angle_phasors(theta: np.ndarray) -> list:
-    """x = [None, cos th_1, sin th_1, ...] from the angles theta (rows, R), one column per pair."""
-    x = [None]
-    for col in theta.T:
-        col = np.ascontiguousarray(col)
-        x += [np.cos(col), np.sin(col)]
-    return x
+def _cos_sin(theta: np.ndarray) -> list:
+    """x = [None, cos th_1, sin th_1, ...] at angles theta (R, rows); x_0 = 1 never multiplies."""
+    return [None, *(trig(th) for th in theta for trig in (np.cos, np.sin))]
 
 
 def pair_projection(plus: SignedGaussianMixture, minus: SignedGaussianMixture):
-    """(L, mirrored): the angles of a (plus, minus) pair at z ~ N_V are w @ L, w ~ N(0, I_k).
+    """(L, mirrored): the angles of a (plus, minus) pair at z ~ N_V are L^T w, w ~ N(0, I_k).
 
     The brackets read z only through theta = [Re z | Im z] @ Phi. When minus's
     phase map is exactly plus's negated (`mirrored`, the states at +gamma and
@@ -254,18 +259,19 @@ def pair_projection(plus: SignedGaussianMixture, minus: SignedGaussianMixture):
 
 
 def pair_log_brackets(plus: SignedGaussianMixture, minus: SignedGaussianMixture,
-                      theta: np.ndarray, mirrored: bool):
-    """(log b_plus, log b_minus) at the angles theta (rows, columns of L) of `pair_projection`.
+                      w: np.ndarray, factor: np.ndarray, mirrored: bool):
+    """(log b_plus, log b_minus) at the angles L^T w, for normals w and `pair_projection`'s L.
 
     A mirrored pair shares plus's cosines and negates its sines.
     """
-    rows, split = len(theta), plus._phase.shape[1]
-    x = _angle_phasors(theta[:, :split])
+    rows, split = len(w), plus._phase.shape[1]
+    theta = angles(factor.T, [w.T], np.empty((factor.shape[1], rows)))
+    x = _cos_sin(theta[:split])
     if mirrored:
         x_minus = list(x)   # [None, cos th_1, sin th_1, ...]: negate every sin
         x_minus[2::2] = [-sin for sin in x[2::2]]
     else:
-        x_minus = _angle_phasors(theta[:, split:])
+        x_minus = _cos_sin(theta[split:])
     return (_log_bracket(plus._fold(x, rows, np.float64)),
             _log_bracket(minus._fold(x_minus, rows, np.float64)))
 

@@ -56,6 +56,13 @@ def check_finite(array, what: str):
         raise ValidationError(f"{what} has non-finite entries")
 
 
+def check_complex(re, im, what: str) -> complex:
+    """re + 1j * im once `check_real` passes both parts, so JSON true is not 1."""
+    for part in (re, im):
+        check_real(part, f"{what} has non-finite entries or parts that are not numbers")
+    return re + 1j * im
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic generator for (seed, stream); streams are independent.
 

@@ -22,7 +22,7 @@ from math import log
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import SymmetricUnitary, check_finite, check_mode_count, check_real
+from .numerics import SymmetricUnitary, check_complex, check_finite, check_mode_count, check_real
 
 MERGE_TOL = 1e-12
 PEAK_DROP = 1e-15   # merged peaks with |weight| <= this are dropped
@@ -58,6 +58,8 @@ class PeakState:
     def __post_init__(self):
         check_mode_count(self.n)
         check_real(self.nu, "nu must lie in (0, 1)", 0.0, 1.0)
+        if self.eps0 is not None:
+            check_real(self.eps0, *EPS0_RANGE)
         w = np.atleast_1d(np.asarray(self.weights, dtype=complex))
         c = np.asarray(self.centers, dtype=complex).reshape(len(w), self.n)
         check_finite(w, "weight vector")
@@ -134,10 +136,9 @@ class PeakState:
             check_mode_count(n)
             nu = d["nu"]
             raw = d["peaks"]
-            weights = np.array([p["w_re"] + 1j * p["w_im"] for p in raw], dtype=complex)
-            centers = np.array(
-                [[z["re"] + 1j * z["im"] for z in p["center"]] for p in raw],
-                dtype=complex).reshape(len(raw), n)
+            weights = np.array([check_complex(p["w_re"], p["w_im"], "weight vector") for p in raw])
+            centers = np.array([[check_complex(z["re"], z["im"], "center vector")
+                                 for z in p["center"]] for p in raw]).reshape(len(raw), n)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed peak-state JSON: {exc}") from exc
         return PeakState(n=n, nu=nu, weights=weights, centers=centers,

@@ -786,3 +786,44 @@ class TestNonFiniteInputs:
         assert rc == 2
         assert "malformed measurement record" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("file", ["points", "u-file", "state"])
+    def test_json_bool_component_is_2(self, tmp_path, capsys, file, value):
+        # re + 1j * im read JSON true as 1 and false as 0, so each file below,
+        # true where a 1 belongs and false where a 0 does, exited 0
+        rec, _ = self._record_and_points(tmp_path)
+        z = {"re": True, "im": 0.0} if value else {"re": 1.0, "im": False}
+        bad, out, what = tmp_path / "bad.json", tmp_path / "out", f"--{file}"
+        sample = ["sample", "--scheme", "heterodyne", "--count", "10", "--seed", "1"]
+        if file == "points":
+            command = ["estimate", "--record", str(rec), "--points", str(bad),
+                       "--scheme", "heterodyne"]
+        elif file == "u-file":
+            command = sample + ["--family", "five-peak", "--nu", "0.5", "--eps0", "0.2",
+                                "--gamma", "0.5", "--u-file", str(bad)]
+        else:   # the anchor peak (1, 0): its weight, or its center
+            state = make_three_peak(1, 0.5, 0.2, np.array([0.8])).to_json_dict()
+            if value:
+                state["peaks"][0]["w_re"], what = True, "weight vector"
+            else:
+                state["peaks"][0]["center"], what = [{"re": 0.0, "im": False}], "center vector"
+            command = sample + ["--state", str(bad)]
+        bad.write_text(json.dumps(state if file == "state" else [[z]]))
+        assert main(command + ["--out", str(out)]) == 2
+        assert f"{what} has non-finite entries or parts that are not numbers, got {value}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps0", ['"abc"', "true", "NaN", "0.3"])
+    def test_state_file_eps0_outside_its_range_is_2(self, tmp_path, capsys, eps0):
+        # the descriptor copied an unchecked eps0 into the record
+        text = make_three_peak(1, 0.5, 0.2, np.array([0.8])).to_json()
+        spath = tmp_path / "st.json"
+        spath.write_text(text.replace('"eps0": 0.2', f'"eps0": {eps0}'))
+        assert f'"eps0": {eps0}' in spath.read_text()
+        out = tmp_path / "r.jsonl"
+        assert main(["sample", "--state", str(spath), "--scheme", "heterodyne",
+                     "--count", "10", "--seed", "1", "--out", str(out)]) == 2
+        assert "eps0 must lie in (0, 1/4]" in capsys.readouterr().err
+        assert not out.exists()

@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvlearn import estimators
-from cvlearn.errors import ValidationError
+from cvlearn.errors import NumericFailure, ValidationError
 from cvlearn.estimators import (
     EstimateReport,
     PlannerInputs,
@@ -394,6 +395,15 @@ class TestEstimateRecord:
                else sample_heterodyne(st, 200, seed=4))
         with pytest.raises(ValidationError, match="query points must be rows of 1 components"):
             per_point(rec, np.array([0.1, 0.2]))
+
+    def test_overflowing_mean_raises_without_a_warning(self):
+        # e^{|alpha|^2/2} overflows at |alpha|^2 = 1600: the estimate is
+        # refused as a NumericFailure, and no RuntimeWarning comes first
+        _, het = self.records()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match="overflows"):
+                estimate_record(het, [[0.5, 0.0], [40.0, 0.0]], "heterodyne")
 
     def test_input_checks(self):
         bell, het = self.records()

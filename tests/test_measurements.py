@@ -9,20 +9,27 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import orjson
 import pytest
 
+from cvlearn import measurements
 from cvlearn.errors import ValidationError, NumericFailure
 from cvlearn.estimators import chi_squared_means
 from cvlearn.fock_oracle import build_state, husimi
 from cvlearn.measurements import (
     ENVELOPE_GUARD,
+    MATMUL_MACS,
     SAMPLE_BLOCK,
     MeasurementRecord,
     SignedGaussianMixture,
+    angles,
     bell_density,
     bell_mixture,
     heterodyne_density,
@@ -196,6 +203,112 @@ def reference_sample(mix, count, rng, dtype):
         rows.append(re[idx] + 1j * im[idx])
         filled += len(idx)
     return np.concatenate(rows), len(rows), surplus
+
+
+def product_then_add_angles(mix, re, im):
+    """The angles as the sampler summed them before `angles`: for each pair,
+    coordinate by coordinate, one product then one in-place add, in re's dtype."""
+    coords = [*re.T, *im.T]
+    theta = np.empty((mix._phase.shape[1], len(re)), dtype=re.dtype)
+    term = np.empty(len(re), dtype=re.dtype)
+    for th, weights in zip(theta, mix._phase.T.astype(re.dtype.type)):
+        np.multiply(coords[0], weights[0], out=th)
+        for coord, w in zip(coords[1:], weights[1:]):
+            th += np.multiply(coord, w, out=term)
+    return theta
+
+
+# One deep block per case: at shapes that `angles` leaves whole, at two whole
+# column slices, and at three whole slices and one column more, which the
+# last slice absorbs.
+DEEP_BLOCKS = """
+import numpy as np
+from cvlearn.measurements import MATMUL_MACS
+from cvlearn.numerics import make_rng
+
+def deep_blocks():
+    for dtype in (np.float32, np.float64):
+        for pairs, depth in ((1, 2), (2, 3), (5, 4), (10, 6), (17, 6)):
+            rng = make_rng(90 + pairs)
+            step = max(2, MATMUL_MACS // (pairs * depth))
+            for lead in ((), (2,)):
+                for rows in (1, 2, 3, 65_536, 2 * step, 3 * step + 1):
+                    drawn = rng.standard_normal((*lead, rows, depth)).astype(dtype)
+                    parts = rng.standard_normal((*lead, depth, rows)).astype(dtype)
+                    for block in (drawn.swapaxes(-1, -2), parts):
+                        yield rng.standard_normal((*lead, pairs, depth)).astype(dtype), block
+"""
+WHOLE_MATMUL_DIGESTS = """
+import hashlib, json
+print(json.dumps([hashlib.sha256(np.matmul(phase_t, block).tobytes()).hexdigest()
+                  for phase_t, block in deep_blocks()]))
+"""
+
+
+class TestAngles:
+    ROWS = (1, 2, 3, 65_536)
+
+    @staticmethod
+    def coords(rng, lead, depth, rows, dtype, layout):
+        """(..., depth, rows) normals: the transpose of (..., rows, depth) as the
+        sampler draws them, or C-contiguous as the estimators lay out parts."""
+        if layout == "drawn":
+            return rng.standard_normal((*lead, rows, depth)).astype(dtype).swapaxes(-1, -2)
+        return rng.standard_normal((*lead, depth, rows)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_stacked_product(self, dtype, rtol, lead, depth):
+        # one block of `depth` coordinates, or two (the sampler's re and im),
+        # against phase_t @ vstack(blocks) in float64 on the same inputs
+        rng = make_rng(80 + depth)
+        for rows in self.ROWS:
+            for count, layout, pairs in ((1, "parts", 3), (2, "drawn", 1), (2, "drawn", 2)):
+                blocks = [self.coords(rng, lead, depth, rows, dtype, layout)
+                          for _ in range(count)]
+                phase_t = rng.standard_normal((*lead, pairs, count * depth)).astype(dtype)
+                got = angles(phase_t, blocks, np.empty((*lead, pairs, rows), dtype=dtype))
+                stacked = np.concatenate(blocks, axis=-2).astype(np.float64)
+                want = phase_t.astype(np.float64) @ stacked
+                scale = np.abs(phase_t.astype(np.float64)) @ np.abs(stacked)
+                assert got.dtype == dtype and got.shape == want.shape
+                assert np.all(np.abs(got - want) <= rtol * scale)
+
+    def test_one_deep_block_gives_one_thread_whole_matmul_bits(self):
+        # A whole matmul large enough for OpenBLAS to thread may round a
+        # tail column differently, so the reference runs in a fresh
+        # interpreter at one thread, while `angles` runs here at this
+        # process's thread count.
+        ns = {}
+        exec(DEEP_BLOCKS, ns)
+        here = [hashlib.sha256(angles(phase_t, [block], np.empty(
+                    (*block.shape[:-2], phase_t.shape[-2], block.shape[-1]),
+                    dtype=block.dtype)).tobytes()).hexdigest()
+                for phase_t, block in ns["deep_blocks"]()]
+        src = str(Path(measurements.__file__).resolve().parents[1])
+        env = os.environ | {"OPENBLAS_NUM_THREADS": "1",
+                            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", DEEP_BLOCKS + WHOLE_MATMUL_DIGESTS],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert here == json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scheme", ["bell", "heterodyne"])
+    @pytest.mark.parametrize("family", ["three", "five"])
+    def test_n1_bits_equal_product_then_add(self, dtype, scheme, family):
+        u = random_symmetric_unitary(1, make_rng(95))
+        st = make_three_peak(1, 0.75, 0.25, [0.9 + 0.4j]) if family == "three" \
+            else make_five_peak(1, 0.75, 0.25, [0.9 + 0.4j], u)
+        mix = bell_mixture(st, bell_partner(st, u)) if scheme == "bell" \
+            else heterodyne_mixture(st)
+        rng = make_rng(96)
+        for rows in self.ROWS:
+            re, im = (rng.standard_normal((rows, 1), dtype=dtype) for _ in range(2))
+            got = angles(mix._phase.T, [re.T, im.T],
+                         np.empty((mix._phase.shape[1], rows), dtype=dtype))
+            assert np.array_equal(got, product_then_add_angles(mix, re, im))
 
 
 class TestSampleStream:
