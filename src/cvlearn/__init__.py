@@ -45,9 +45,7 @@ from .states import (
 from .measurements import (
     MeasurementRecord,
     SignedGaussianMixture,
-    bell_density,
     bell_mixture,
-    heterodyne_density,
     heterodyne_mixture,
     sample_bell,
     sample_heterodyne,
@@ -55,7 +53,6 @@ from .measurements import (
 from .estimators import (
     EstimateReport,
     PlannerInputs,
-    estimate_chi_classicality_aware,
     estimate_chi_heterodyne,
     estimate_chi_squared,
     estimate_record,

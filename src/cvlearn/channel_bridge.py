@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import check_real, psd_check
+from .numerics import as_points, check_real, psd_check
 from .states import PeakState, char_fn, classicality_smax, three_peak_plus
 
 VALID = "valid (Bochner spot checks passed)"
@@ -84,10 +84,14 @@ def choi_envelope_form2(alpha, beta, r: float):
 
 
 def choi_char(spec: ChannelSpec, alpha, beta):
-    """chi_Choi(alpha, beta) = g(alpha, beta, r) lambda(beta)."""
-    b = np.atleast_2d(np.asarray(beta, dtype=complex))
-    vals = choi_envelope_form1(alpha, b, spec.r) * np.asarray(spec.lam(b))
-    return vals if np.asarray(beta).ndim > 1 else complex(vals[0])
+    """chi_Choi(alpha, beta) = g(alpha, beta, r) lambda(beta): a complex at one
+    pair of points (n,), (m,) at two batches (m, n) of one shape."""
+    a, single = as_points(alpha, spec.n, "alpha")
+    b, single_b = as_points(beta, spec.n, "beta")
+    if (a.shape, single) != (b.shape, single_b):
+        raise ValidationError(f"alpha {np.shape(alpha)} and beta {np.shape(beta)} differ in shape")
+    vals = choi_envelope_form1(a, b, spec.r) * np.asarray(spec.lam(b))
+    return complex(vals[0]) if single else vals
 
 
 # ---------------------------------------------------------------------------

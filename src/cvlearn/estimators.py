@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericFailure, ValidationError
 from .measurements import MeasurementRecord, angles, phase_matrix, run_beside
-from .numerics import check_finite, check_int, check_real
+from .numerics import as_points, check_int, check_real
 
 SCHEMES = ("bell_chi2", "bell_chi", "heterodyne", "classicality_aware")
 
@@ -201,12 +201,12 @@ def chi_heterodyne_means(outcomes: np.ndarray, alphas: np.ndarray,
 
 def estimate_chi_squared(record: MeasurementRecord, alpha) -> complex:
     """Unbiased estimator of chi^2(alpha) from Bell outcomes."""
-    return estimate_record(record, np.reshape(alpha, (1, -1)), "bell_chi2")[0].estimate
+    return estimate_record(record, alpha, "bell_chi2")[0].estimate
 
 
 def estimate_chi_heterodyne(record: MeasurementRecord, alpha) -> complex:
     """Unbiased estimator of chi(alpha) from heterodyne outcomes."""
-    return estimate_record(record, np.reshape(alpha, (1, -1)), "heterodyne")[0].estimate
+    return estimate_record(record, alpha, "heterodyne")[0].estimate
 
 
 def resolve_sign(v_hat: complex, epsilon: float) -> complex:
@@ -226,7 +226,8 @@ def resolve_sign(v_hat: complex, epsilon: float) -> complex:
 def estimate_record(record: MeasurementRecord, alphas, scheme: str,
                     epsilon: float | None = None,
                     classicality: float | None = None) -> list[EstimateReport]:
-    """One report per query row of `alphas` (m, n), from one pass over the record.
+    """One report per query row of `alphas` (m, n), from one pass over the record;
+    one point (n,) gives a one-report list.
 
     bell_chi2 estimates chi^2; bell_chi resolves its sign to chi (needs
     epsilon); heterodyne estimates chi; classicality_aware estimates chi
@@ -240,11 +241,7 @@ def estimate_record(record: MeasurementRecord, alphas, scheme: str,
     need = "bell" if scheme.startswith("bell") else "heterodyne"
     if record.scheme != need:
         raise ValidationError(f"record holds {record.scheme!r} outcomes, need {need!r}")
-    pts = np.asarray(alphas, dtype=complex)
-    if pts.ndim != 2 or pts.shape[1] != record.n:
-        raise ValidationError(
-            f"query points must be rows of {record.n} components, got shape {pts.shape}")
-    check_finite(pts, "query points")
+    pts = as_points(alphas, record.n, "query points")[0]
     truncated = np.zeros(len(pts), dtype=bool)
     if scheme == "classicality_aware":
         check_real(classicality, "classicality-aware estimation needs S in (0,1]; "
@@ -262,10 +259,3 @@ def estimate_record(record: MeasurementRecord, alphas, scheme: str,
                            scheme=scheme, samples_used=record.count, epsilon=epsilon,
                            delta=None, truncated=bool(t))
             for p, e, t in zip(pts, est, truncated)]
-
-
-def estimate_chi_classicality_aware(record: MeasurementRecord, alpha,
-                                    classicality: float, epsilon: float) -> EstimateReport:
-    """Heterodyne estimate inside the effective radius, zero beyond it."""
-    return estimate_record(record, np.reshape(alpha, (1, -1)), "classicality_aware",
-                           epsilon, classicality)[0]

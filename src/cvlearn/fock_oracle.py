@@ -28,6 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ValidationError, NumericFailure
+from .numerics import as_points
 from .states import PeakState, char_fn, hermitian_partners, mean_photon, three_peak_plus
 
 MAX_MODES = 2
@@ -234,13 +235,7 @@ def _mode_trace(fm: FockMatrix, points, mode_ops):
     and Tr[A O] = vec(A^T) . vec(O), so each mode of a block of points costs
     one (k, C^2) @ (C^2, points) product.
     """
-    points = np.asarray(points, dtype=complex)
-    single = points.ndim < 2
-    batch = np.atleast_2d(points)
-    if points.ndim > 2 or batch.shape[1] != fm.n:
-        raise ValidationError(
-            f"oracle points must have shape (n,) or (m, n) with n = {fm.n}, "
-            f"got {points.shape}")
+    batch, single = as_points(points, fm.n, "oracle points")
     weights, factors = fm.weights, fm.factors
     if len(factors) != fm.n:
         raise ValidationError(

@@ -144,16 +144,6 @@ def _five_peak_window(gamma, u: np.ndarray, sigma2: float, kappa: float, n: int)
             & (0.0 < i2) & (i2 <= kappa * n / 3.0)), r2, i2
 
 
-def five_peak_window_indicator(gamma: np.ndarray, v: np.ndarray, sigma2: float,
-                               kappa: float, n: int):
-    """Membership test on gamma' = V^dag gamma: a bool for one gamma, an array for (m, n).
-
-    The window depends on U = V V^T alone, so it is tested on the U that V factors.
-    """
-    hit = _five_peak_window(gamma, v @ v.T, sigma2, kappa, n)[0]
-    return hit if np.ndim(hit) else bool(hit)
-
-
 def _windows_and_gaps(cfg: GameConfig, gammas: np.ndarray):
     """Window flags and chi gaps |chi_peaked - chi0|(gamma) for each row of gammas (m, n)."""
     sigma2, Sigma2 = filter_variances(cfg.nu)

@@ -26,7 +26,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .errors import ValidationError, NumericFailure
-from .numerics import check_finite, check_int, check_mode_count, make_rng
+from .numerics import as_points, check_finite, check_int, check_mode_count, make_rng
 from .states import (PEAK_DROP, PeakState, char_fn, family_runs, filter_a, filter_variances,
                      hermitian_partners, merge_family, s_ordered_peaks)
 
@@ -146,15 +146,17 @@ class SignedGaussianMixture:
         return (-np.sum(np.abs(z) ** 2, axis=1) / (2.0 * self.variance)
                 - self.n * np.log(2.0 * np.pi * self.variance))
 
-    def value(self, zeta) -> np.ndarray:
-        """Density values at a batch (m, n) of outcomes; real, >= -1e-9."""
-        z = np.atleast_2d(np.asarray(zeta, dtype=complex))
-        return np.exp(self._log_gauss(z)) * self._bracket(z.real, z.imag)
+    def value(self, zeta):
+        """Density, real and >= -1e-9: a scalar at one outcome (n,), (m,) at a batch (m, n)."""
+        z, single = as_points(zeta, self.n, "outcomes")
+        vals = np.exp(self._log_gauss(z)) * self._bracket(z.real, z.imag)
+        return vals[0] if single else vals
 
-    def log_value(self, zeta) -> np.ndarray:
-        """log density, stable for product accumulation over many copies."""
-        z = np.atleast_2d(np.asarray(zeta, dtype=complex))
-        return self._log_gauss(z) + _log_bracket(self._bracket(z.real, z.imag))
+    def log_value(self, zeta):
+        """log density, stable for product accumulation over many copies; shaped as `value`."""
+        z, single = as_points(zeta, self.n, "outcomes")
+        vals = self._log_gauss(z) + _log_bracket(self._bracket(z.real, z.imag))
+        return vals[0] if single else vals
 
     # -- sampling -----------------------------------------------------------
     def sample(self, count: int, rng: np.random.Generator,
@@ -420,20 +422,6 @@ def bell_mixture(state: PeakState, partner: PeakState) -> SignedGaussianMixture:
     return peak_mixtures("bell", state.nu, state.weights, state.centers[None])[0]
 
 
-def bell_density(state: PeakState, reflected_then_circuit: PeakState, zeta):
-    """p(zeta) for the Bell measurement on state x (circuit-propagated reflection)."""
-    mix = bell_mixture(state, reflected_then_circuit)
-    vals = mix.value(zeta)
-    return vals if np.asarray(zeta).ndim > 1 else float(vals[0])
-
-
-def heterodyne_density(state: PeakState, zeta):
-    """Husimi Q density <zeta|rho|zeta>/pi^n (= s-ordered QPD at s = -1)."""
-    mix = heterodyne_mixture(state)
-    vals = mix.value(zeta)
-    return vals if np.asarray(zeta).ndim > 1 else float(vals[0])
-
-
 # ---------------------------------------------------------------------------
 # Measurement records
 # ---------------------------------------------------------------------------
@@ -451,7 +439,11 @@ class MeasurementRecord:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         check_mode_count(self.n)
         check_int(self.seed, "record seed")   # as read_jsonl checks it on the way back
-        self.outcomes = np.asarray(self.outcomes, dtype=complex).reshape(-1, self.n)
+        out = np.asarray(self.outcomes, dtype=complex)
+        if (out.ndim > 1 and out.shape[1:] != (self.n,)) or out.size % self.n:
+            raise ValidationError(f"measurement record outcomes must be rows of {self.n} "
+                                  f"components, or a flat run of them, got shape {out.shape}")
+        self.outcomes = out.reshape(-1, self.n)
         if self.outcomes.shape[0] < 1:
             raise ValidationError("measurement record must hold at least one outcome")
         check_finite(self.outcomes, "measurement record")

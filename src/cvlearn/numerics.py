@@ -56,6 +56,22 @@ def check_finite(array, what: str):
         raise ValidationError(f"{what} has non-finite entries")
 
 
+def as_points(points, n: int, what: str = "phase-space points") -> tuple[np.ndarray, bool]:
+    """(pts, single): points as a complex batch (m, n), and whether they were one point.
+
+    A shape (n,) array is one point, and so is a scalar when n == 1; a shape
+    (m, n) array is a batch. Any other shape, or a non-finite entry, raises
+    ``ValidationError`` naming `what`.
+    """
+    pts = np.asarray(points, dtype=complex)
+    single = pts.shape == (n,) or (n == 1 and pts.ndim == 0)
+    if not (single or (pts.ndim == 2 and pts.shape[1] == n)):
+        raise ValidationError(f"{what} must be rows of {n} components, "
+                              f"shape ({n},) or (m, {n}), got shape {pts.shape}")
+    check_finite(pts, what)
+    return pts.reshape(-1, n), single
+
+
 def check_complex(re, im, what: str) -> complex:
     """re + 1j * im once `check_real` passes both parts, so JSON true is not 1."""
     for part in (re, im):

@@ -22,7 +22,8 @@ from math import log
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import SymmetricUnitary, check_complex, check_finite, check_mode_count, check_real
+from .numerics import (SymmetricUnitary, as_points, check_complex, check_finite, check_mode_count,
+                       check_real)
 
 MERGE_TOL = 1e-12
 PEAK_DROP = 1e-15   # merged peaks with |weight| <= this are dropped
@@ -310,18 +311,9 @@ def bell_partner(state: PeakState, u: SymmetricUnitary) -> PeakState:
 # Evaluators
 # ---------------------------------------------------------------------------
 
-def _as_points(alpha, n: int):
-    a = np.asarray(alpha, dtype=complex)
-    single = (a.ndim == 1) or (a.ndim == 0 and n == 1)
-    pts = np.atleast_2d(a.reshape(-1, n) if a.ndim else a.reshape(1, 1))
-    if pts.shape[1] != n:
-        raise ValidationError(f"phase-space points must have {n} columns, got {pts.shape}")
-    return pts, single
-
-
 def char_fn(state: PeakState, alpha):
-    """chi(alpha) = Tr[rho D(alpha)]; accepts one point (n,) or a batch (m, n)."""
-    pts, single = _as_points(alpha, state.n)
+    """chi(alpha) = Tr[rho D(alpha)]: a scalar at one point (n,), (m,) at a batch (m, n)."""
+    pts, single = as_points(alpha, state.n)
     abs2_a = np.sum(np.abs(pts) ** 2, axis=1)
     abs2_g = np.sum(np.abs(state.centers) ** 2, axis=1)
     cross = np.real(np.conj(pts) @ state.centers.T)            # Re(alpha^dag gamma)
@@ -335,7 +327,7 @@ def char_fn(state: PeakState, alpha):
 def s_char_fn(state: PeakState, s: float, alpha):
     """e^{s |alpha|^2 / 2} chi(alpha)."""
     check_real(s, "ordering parameter s must lie in [-1, 1]", -1.0, 1.0, "[]")
-    pts, single = _as_points(alpha, state.n)
+    pts, single = as_points(alpha, state.n)
     abs2 = np.sum(np.abs(pts) ** 2, axis=1)
     vals = _clamped_exp(0.5 * s * abs2) * char_fn(state, pts)
     return vals[0] if single else vals
@@ -365,7 +357,7 @@ def s_qpd(state: PeakState, s: float, beta):
     f1(s), f2(s) below.
     """
     check_real(s, "ordering parameter s must lie in [-1, 1]", -1.0, 1.0, "[]")
-    pts, single = _as_points(beta, state.n)
+    pts, single = as_points(beta, state.n)
     t, amps, freqs = s_ordered_peaks(state.nu, s, state.weights, state.centers)
     abs2_b = np.sum(np.abs(pts) ** 2, axis=1)
     base = _clamped_exp(-abs2_b / t) / (np.pi * t) ** state.n

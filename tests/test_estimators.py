@@ -20,7 +20,6 @@ from cvlearn.estimators import (
     chi_heterodyne_means,
     chi_squared_means,
     effective_radius,
-    estimate_chi_classicality_aware,
     estimate_chi_heterodyne,
     estimate_chi_squared,
     estimate_record,
@@ -174,14 +173,14 @@ class TestClassicalityAware:
         # S = 1, eps = 0.1: L = 2 log 10 ~ 4.605; |alpha|^2 = 5 is truncated.
         st = make_thermal(1, 0.5)
         rec = sample_heterodyne(st, 500, seed=8)
-        rep = estimate_chi_classicality_aware(rec, np.array([math.sqrt(5.0)]), 1.0, 0.1)
+        rep = estimate_record(rec, np.array([math.sqrt(5.0)]), "classicality_aware", 0.1, 1.0)[0]
         assert rep.truncated and rep.estimate == 0.0
         assert effective_radius(1.0, 0.1) == pytest.approx(2 * math.log(10.0), rel=1e-14)
 
     def test_origin_never_truncated(self):
         st = make_thermal(1, 0.5)
         rec = sample_heterodyne(st, 3000, seed=9)
-        rep = estimate_chi_classicality_aware(rec, np.array([0.0]), 0.3, 0.1)
+        rep = estimate_record(rec, np.array([0.0]), "classicality_aware", 0.1, 0.3)[0]
         assert not rep.truncated
         assert rep.estimate == 1.0 + 0.0j
 
@@ -195,7 +194,7 @@ class TestClassicalityAware:
         for _ in range(25):
             r2 = rng.uniform(effective_radius(S, eps), 2 * effective_radius(S, eps))
             alpha = math.sqrt(r2) * np.exp(2j * np.pi * rng.uniform()) * np.ones(1)
-            rep = estimate_chi_classicality_aware(rec, alpha, S, eps)
+            rep = estimate_record(rec, alpha, "classicality_aware", eps, S)[0]
             assert rep.truncated
             chi = complex(char_fn(st, alpha))
             assert abs(chi) <= math.exp(-0.5 * S * r2) + 1e-12
@@ -205,7 +204,7 @@ class TestClassicalityAware:
         st = make_thermal(1, 0.5)
         rec = sample_heterodyne(st, 100, seed=12)
         with pytest.raises(ValidationError):
-            estimate_chi_classicality_aware(rec, np.array([1.0]), 0.0, 0.1)
+            estimate_record(rec, np.array([1.0]), "classicality_aware", 0.1, 0.0)[0]
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.1])
     def test_radius_rejects_epsilon_outside_unit_interval(self, eps):
@@ -366,7 +365,7 @@ class TestEstimateRecord:
             assert r.truncated == out
             want = 0.0 if out else estimate_chi_heterodyne(het, a)
             assert abs(r.estimate - want) < 1e-12
-            single = estimate_chi_classicality_aware(het, a, S, eps)
+            single = estimate_record(het, a, "classicality_aware", eps, S)[0]
             assert single.truncated == out and abs(single.estimate - r.estimate) < 1e-12
 
     def test_phase_buffers_bounded_in_points(self, monkeypatch):

@@ -16,7 +16,6 @@ from cvlearn.bounds import BoundInputs, lb_ef
 from cvlearn.errors import ValidationError
 from cvlearn.game import (
     GameConfig,
-    five_peak_window_indicator,
     five_peak_window_probability,
     per_copy_tvd_bound,
     run_game,
@@ -126,8 +125,8 @@ class TestFivePeakWindow:
             r1 = np.linalg.norm(np.real(np.conj(v).T @ g))
             r2 = np.linalg.norm(np.real(np.conj(vo).T @ g))
             assert abs(r1 - r2) < 1e-12
-            assert five_peak_window_indicator(g, v, 0.2, 2.0, 3) \
-                == five_peak_window_indicator(g, vo, 0.2, 2.0, 3)
+            assert game._five_peak_window(g, v @ v.T, 0.2, 2.0, 3)[0] \
+                == game._five_peak_window(g, vo @ vo.T, 0.2, 2.0, 3)[0]
 
     def test_monte_carlo_agreement(self):
         n, kappa = 2, 2.0
@@ -136,7 +135,7 @@ class TestFivePeakWindow:
         u = random_symmetric_unitary(n, make_rng(7))
         v = takagi_decompose(u).v
         draws = sample_complex_gaussian(n, sg2, 100_000, make_rng(8))
-        freq = np.mean([five_peak_window_indicator(g, v, sigma2, kappa, n)
+        freq = np.mean([game._five_peak_window(g, v @ v.T, sigma2, kappa, n)[0]
                         for g in draws])
         target = five_peak_window_probability(n, sigma2, sg2, kappa)
         se = math.sqrt(target * (1 - target) / draws.shape[0])

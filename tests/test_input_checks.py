@@ -2,25 +2,27 @@
 with its own message, before any work is done."""
 
 import math
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
 
 from cvlearn.bounds import BoundInputs, classicality_thresholds, emit_curves
-from cvlearn.channel_bridge import (ChannelSpec, fock1_channel_density, fock1_lambda,
+from cvlearn.channel_bridge import (ChannelSpec, choi_char, fock1_channel_density, fock1_lambda,
                                     fock1_negativity_annulus, lambda_from_state, r_star)
 from cvlearn.errors import ValidationError
 from cvlearn.estimators import (PlannerInputs, effective_radius, estimate_record, resolve_sign,
                                 scheme_cost)
-from cvlearn.fock_oracle import FockMatrix, build_state, petz_d2
+from cvlearn.fock_oracle import (FockMatrix, build_state, char_trace, husimi, petz_d2,
+                                 wigner_parity)
 from cvlearn.game import (GameConfig, five_peak_window_probability, per_copy_tvd_bound,
                           tvd_pair, window_probability)
 from cvlearn.measurements import MeasurementRecord, heterodyne_mixture, validate_bell_pair
 from cvlearn.numerics import (SymmetricUnitary, make_rng, psd_check, regularized_upper_gamma,
                               sample_complex_gaussian)
-from cvlearn.states import (PeakState, apply_circuit, classicality_smax, make_five_peak,
+from cvlearn.states import (PeakState, apply_circuit, char_fn, classicality_smax, make_five_peak,
                             make_thermal, make_three_peak, make_three_peak_classical,
-                            peak_layout, reflect, s_char_fn, s_qpd)
+                            peak_layout, reflect, s_char_fn, s_qpd, wigner)
 
 U2 = SymmetricUnitary(matrix=np.eye(2))
 GAME = dict(family="three_peak", n=1, nu=0.9, eps0=0.25, kappa=2.0, copies=4)
@@ -183,3 +185,73 @@ CHECKS += [
 def test_malformed_input_raises_validation_error(match, call):
     with pytest.raises(ValidationError, match=match):
         call()
+
+
+def _state(n):
+    return make_three_peak(n, 0.5, 0.2, np.full(n, 0.3 + 0.1j))
+
+
+@lru_cache(maxsize=None)
+def _oracle(n):
+    return build_state(_state(n))
+
+
+def _record(n):
+    return MeasurementRecord(scheme="heterodyne", outcomes=np.full((4, n), 0.1 + 0.2j),
+                             state_descriptor={}, seed=0, n=n)
+
+
+# name -> reader(n), the function of phase-space points that it checks at n modes
+POINT_READERS = {
+    "char_fn": lambda n: partial(char_fn, _state(n)),
+    "s_char_fn": lambda n: partial(s_char_fn, _state(n), 0.5),
+    "s_qpd": lambda n: partial(s_qpd, _state(n), 0.5),
+    "wigner": lambda n: partial(wigner, _state(n)),
+    "value": lambda n: heterodyne_mixture(_state(n)).value,
+    "log_value": lambda n: heterodyne_mixture(_state(n)).log_value,
+    "char_trace": lambda n: partial(char_trace, _oracle(n)),
+    "husimi": lambda n: partial(husimi, _oracle(n)),
+    "wigner_parity": lambda n: partial(wigner_parity, _oracle(n)),
+    "choi_char": lambda n: lambda p: choi_char(ChannelSpec(r=0.5, lam=_unit, n=n), p, p),
+    "estimate_record": lambda n: lambda p: [
+        rep.estimate for rep in estimate_record(_record(n), p, "heterodyne")],
+}
+
+BAD_POINTS = [
+    ("length-4-at-n2", 2, np.full(4, 0.1), "rows of 2 components"),
+    ("length-3-at-n1", 1, np.full(3, 0.1), "rows of 1 components"),
+    ("extra-column", 2, np.full((3, 3), 0.1), "rows of 2 components"),
+    ("three-axes", 2, np.full((2, 3, 2), 0.1), "rows of 2 components"),
+    ("nan", 2, np.array([np.nan, 0.1]), "non-finite"),
+]
+
+
+class TestPointShapes:
+    """One rule, `numerics.as_points`, reads every evaluator's points: a shape
+    (n,) array is one point and gives a scalar (an estimate gives a one-report
+    list), so does a scalar at n = 1, and (m, n) is a batch. Any other shape, or
+    a non-finite entry, raises ValidationError."""
+
+    @pytest.mark.parametrize("n, points, match", [b[1:] for b in BAD_POINTS],
+                             ids=[b[0] for b in BAD_POINTS])
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    def test_malformed_points_rejected(self, reader, n, points, match):
+        with pytest.raises(ValidationError, match=match):
+            POINT_READERS[reader](n)(points)
+
+    @pytest.mark.parametrize("point", [0.3 - 0.1j, np.array([0.3 - 0.1j, -0.2 + 0.4j])],
+                             ids=["scalar-at-n1", "vector-at-n2"])
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    def test_one_point_is_entry_0_of_its_batch(self, reader, point):
+        call = POINT_READERS[reader](np.size(point))
+        one, batch = call(point), call(np.reshape(point, (1, -1)))
+        if reader == "estimate_record":
+            (one,) = one
+        assert np.ndim(one) == 0 and np.shape(batch) == (1,)
+        # a complex holds a real value exactly, so the bits compare across types
+        assert np.complex128(one).tobytes() == np.complex128(batch[0]).tobytes()
+
+    def test_choi_char_needs_one_shape(self):
+        spec = ChannelSpec(r=0.5, lam=_unit, n=1)
+        with pytest.raises(ValidationError, match="differ in shape"):
+            choi_char(spec, np.array([0.1]), np.full((3, 1), 0.1))

@@ -30,9 +30,7 @@ from cvlearn.measurements import (
     MeasurementRecord,
     SignedGaussianMixture,
     angles,
-    bell_density,
     bell_mixture,
-    heterodyne_density,
     heterodyne_mixture,
     peak_mixtures,
     sample_bell,
@@ -79,7 +77,7 @@ class TestBellDensity:
         partner = st.thermal_reference()
         zetas = np.array([0.0, 0.7 + 0.3j, -1.2j, 2.0])
         a = st.a
-        closed = np.array([bell_density(st, partner, np.array([z])) for z in zetas])
+        closed = np.array([bell_mixture(st, partner).value(np.array([z])) for z in zetas])
         expect = np.exp(-np.abs(zetas) ** 2 / (2 * a)) / (2 * math.pi * a)
         assert np.max(np.abs(closed - expect)) < 1e-12
         oracle = bell_quadrature(st, zetas)
@@ -122,7 +120,7 @@ class TestBellDensity:
     def test_mismatched_pair_rejected(self):
         st = make_three_peak(1, 0.6, 0.2, np.array([0.9 + 0.4j]))
         with pytest.raises(ValidationError, match="reflection contract"):
-            bell_density(st, st, np.array([0.0]))  # missing conjugation
+            bell_mixture(st, st).value(np.array([0.0]))  # missing conjugation
 
     def test_five_peak_self_pair_needs_no_reflected_state(self):
         # Reflection-symmetric input: two copies of rho, circuit on the second.
@@ -547,12 +545,12 @@ class TestHeterodyne:
             u = random_symmetric_unitary(n, rng)
             for st in [make_three_peak(n, 0.6, 0.2, g), make_five_peak(n, 0.8, 0.2, g, u)]:
                 z = 1.2 * (rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n)))
-                assert np.max(np.abs(heterodyne_density(st, z) - s_qpd(st, -1.0, z))) < 1e-12
+                assert np.max(np.abs(heterodyne_mixture(st).value(z) - s_qpd(st, -1.0, z))) < 1e-12
 
     def test_vacuum_limit(self):
         st = make_thermal(1, 1e-6)
         for z in [0.0, 0.5 + 0.5j, 1.5]:
-            got = heterodyne_density(st, np.array([z]))
+            got = heterodyne_mixture(st).value(np.array([z]))
             assert got == pytest.approx(math.exp(-abs(z) ** 2) / math.pi, rel=1e-4)
 
     def test_matches_fock_oracle(self):
@@ -921,6 +919,18 @@ class TestRecordChecks:
         with pytest.raises(ValidationError, match="mode count n must be an integer >= 1"):
             MeasurementRecord(scheme="heterodyne", outcomes=np.array([0.5, 0.25j]),
                               state_descriptor={}, seed=0, n=n)
+
+    @pytest.mark.parametrize("shape, n", [((4, 2), 1), ((2, 3, 2), 2), ((3,), 2)])
+    def test_outcomes_of_another_shape_rejected(self, shape, n):
+        # (4, 2) at n=1 is not 8 outcomes, nor (2, 3, 2) at n=2 six of them
+        with pytest.raises(ValidationError, match=f"rows of {n} components"):
+            MeasurementRecord(scheme="heterodyne", outcomes=np.zeros(shape),
+                              state_descriptor={}, seed=0, n=n)
+
+    def test_flat_outcomes_are_whole_rows(self):
+        rec = MeasurementRecord(scheme="heterodyne", outcomes=np.arange(4.0),
+                                state_descriptor={}, seed=0, n=2)
+        assert rec.outcomes.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
 
 class TestRecordFormat:
