@@ -128,14 +128,15 @@ def _unitary(spec, n: int, what: str) -> SymmetricUnitary:
 
 
 def _load_unitary(args, n: int) -> SymmetricUnitary:
-    if getattr(args, "u_file", None):
+    if args.u_file:
         return _unitary(_load_json(args.u_file), n, "--u-file")
-    seed = getattr(args, "u_seed", None)
-    return _unitary(None if seed is None else {"seed": seed}, n, "--u-seed")
+    return _unitary(None if args.u_seed is None else {"seed": args.u_seed}, n, "--u-seed")
 
 
 def _load_state(args) -> PeakState:
-    if getattr(args, "state", None):
+    if args.state:
+        if given := [k for k in ("family", "nu", "eps0", "gamma") if vars(args)[k] is not None]:
+            raise ValidationError(f"--state excludes --{', --'.join(given)}: give one source")
         return PeakState.from_json_dict(_load_json(args.state))
     family = args.family
     needs = ("nu",) if family == "thermal" else ("nu", "eps0")
@@ -284,19 +285,17 @@ def cmd_oracle_check(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_state_source(p, require_seed=False):
+def _add_state_source(p):
     p.add_argument("--state", help="peak-state JSON file")
     p.add_argument("--family", choices=["thermal", "three-peak", "five-peak"])
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--nu", type=finite_float)
     p.add_argument("--eps0", type=finite_float)
     p.add_argument("--gamma", help="comma-separated a+bi literals")
-    p.add_argument("--u-file",
+    u = p.add_mutually_exclusive_group()
+    u.add_argument("--u-file",
                    help='symmetric unitary JSON file: rows of {re, im} objects or {"seed": k}')
-    p.add_argument("--u-seed", type=int, help="generate the unitary from this seed")
-    if require_seed:
-        p.add_argument("--seed", type=int, required=True,
-                       help="explicit RNG seed (mandatory for stochastic commands)")
+    u.add_argument("--u-seed", type=int, help="generate the unitary from this seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     cl.set_defaults(func=cmd_state_classicality)
 
     sample = sub.add_parser("sample", help="draw measurement outcomes")
-    _add_state_source(sample, require_seed=True)
+    _add_state_source(sample)
+    sample.add_argument("--seed", type=int, required=True,
+                        help="explicit RNG seed (mandatory for stochastic commands)")
     sample.add_argument("--scheme", choices=["bell", "heterodyne"], required=True)
     sample.add_argument("--count", type=int, required=True)
     sample.add_argument("--out", required=True)

@@ -26,8 +26,9 @@ from itertools import islice, repeat
 import numpy as np
 
 from .errors import ValidationError, NumericFailure
-from .numerics import as_points, check_finite, check_int, check_mode_count, make_rng
-from .states import (PEAK_DROP, PeakState, char_fn, family_runs, filter_a, filter_variances,
+from .numerics import (SymmetricUnitary, as_points, check_finite, check_int, check_mode_count,
+                       make_rng)
+from .states import (PEAK_DROP, PeakState, bell_partner, family_runs, filter_a, filter_variances,
                      hermitian_partners, merge_family, s_ordered_peaks)
 
 ENVELOPE_GUARD = {np.float64: 1e-9, np.float32: 3e-6}
@@ -399,20 +400,16 @@ def heterodyne_mixture(state: PeakState) -> SignedGaussianMixture:
 
 
 def validate_bell_pair(state: PeakState, partner: PeakState):
-    """The Bell inputs must satisfy chi_partner(alpha*) = chi_state(alpha).
-
-    The partner is the reflected state sent through the linear-optical
-    circuit; anything else breaks the chi^2 factorization of the outcome law.
+    """The Bell inputs must satisfy chi_partner(alpha*) = chi_state(alpha): the partner,
+    the reflected state sent through the circuit, has `bell_partner`'s peaks (w, gamma*)
+    for every U. Any other, however far out its peaks lie, breaks the chi^2 factorization.
     """
     if partner.n != state.n:
         raise ValidationError("Bell pair mode counts differ")
-    rng = np.random.default_rng(0x5EED)
-    pts = (rng.normal(size=(16, state.n)) + 1j * rng.normal(size=(16, state.n)))
-    err = np.max(np.abs(char_fn(partner, np.conj(pts)) - char_fn(state, pts)))
-    if err > 1e-8:
+    if not partner.peak_multiset_equal(bell_partner(state, SymmetricUnitary(np.eye(state.n)))):
         raise ValidationError(
-            "Bell input pair violates the reflection contract "
-            f"chi_partner(alpha*) = chi_state(alpha) (max deviation {err:.3e}); "
+            "Bell input pair violates the reflection contract chi_partner(alpha*) = "
+            "chi_state(alpha): its peaks are not the state's (w, gamma*); "
             "pass the reflected state propagated through the circuit")
 
 
@@ -475,9 +472,8 @@ class MeasurementRecord:
         must be one flat JSON array of 2n numbers, [re_1, im_1, ..., re_n,
         im_n]; whitespace around a line is ignored. The outcomes read back
         bit for bit, signed zeros included. The body is read RECORD_BLOCK
-        lines at a time into one array, which starts at min(count,
-        RECORD_BLOCK) rows and doubles, up to `count`, as rows arrive. So the
-        outcomes are held once, and memory beyond them stays bounded.
+        lines at a time into one array that doubles, up to `count`, as parsed
+        rows arrive. The outcomes are held once; other memory stays bounded.
         """
         with open(path, "rb") as fh:
             try:
@@ -486,16 +482,17 @@ class MeasurementRecord:
                 n, count, seed = (header[k] for k in ("n", "count", "seed"))
                 for key, value, low in (("n", n, 1), ("count", count, 1), ("seed", seed, 0)):
                     check_int(value, f"record header {key}", low)
-                data, rows = np.empty((min(count, RECORD_BLOCK), 2 * n)), 0
+                data, rows = np.empty((0, 2 * n)), 0
                 while lines := list(islice(fh, RECORD_BLOCK)):
                     # the stripped lines replace the raw ones, which are freed
                     if lines := [line for line in map(bytes.strip, lines) if line]:
-                        if rows + len(lines) > len(data):
+                        block = _parse_rows(lines, 2 * n)
+                        if rows + len(block) > len(data):
                             # ndarray.resize grows it by realloc, not by a copy beside it
-                            grown = max(rows + len(lines), min(2 * len(data), count))
+                            grown = max(rows + len(block), min(2 * len(data), count))
                             data.resize((grown, 2 * n), refcheck=False)
-                        data[rows:rows + len(lines)] = _parse_rows(lines, 2 * n)
-                        rows += len(lines)
+                        data[rows:rows + len(block)] = block
+                        rows += len(block)
                 data = data[:rows]
             except KeyError as exc:
                 raise ValidationError(f"record header lacks {exc}") from exc

@@ -415,6 +415,7 @@ def classicality_smax(nu: float, eps0: float, gamma) -> ClassicalityReport:
     check_real(nu, "nu must lie in (0, 1)", 0.0, 1.0)
     check_real(eps0, *EPS0_RANGE)
     g = np.atleast_1d(np.asarray(gamma, dtype=complex))
+    check_finite(g, "center vector")
     g2 = float(np.sum(np.abs(g) ** 2))
     sp = s_prime(nu)
     if g2 == 0.0:

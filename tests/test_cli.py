@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -672,6 +673,53 @@ class TestInputErrors:
         assert self._game(tmp_path, cfg) == 2
         assert "lacks 'n'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [1000, 10 ** 11])
+    def test_record_header_n_sizes_nothing_before_rows_are_read(self, tmp_path, capsys, n):
+        # no array may be sized from the header before a row of its width is
+        # parsed: a first block of min(count, RECORD_BLOCK) rows of 2n floats
+        # is 262 MB at n = 1000, and at n = 1e11 no allocation can succeed
+        _, pts = self._record_and_points(tmp_path)
+        rec, out = tmp_path / "big_n.jsonl", tmp_path / "e.json"
+        header = {"scheme": "heterodyne", "n": n, "seed": 2, "count": 20000}
+        rec.write_text(json.dumps(header) + "\n[0.1, 0.2]\n")
+        tracemalloc.start()
+        try:
+            rc = main(["estimate", "--record", str(rec), "--points", str(pts),
+                       "--scheme", "heterodyne", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2 and peak < 10 ** 7
+        assert "malformed measurement record" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--family", "three-peak"], ["--nu", "0.9"],
+                                       ["--eps0", "0.1"], ["--gamma", "1"],
+                                       ["--family", "thermal", "--nu", "0.5"]],
+                             ids=["family", "nu", "eps0", "gamma", "family-and-nu"])
+    def test_state_file_with_family_options_is_2(self, tmp_path, capsys, extra):
+        # one source per input: a state file with family options is refused,
+        # not read with the options ignored
+        spath, out = tmp_path / "st.json", tmp_path / "r.jsonl"
+        spath.write_text(make_three_peak(1, 0.6, 0.2, np.array([0.5])).to_json())
+        rc = main(["sample", "--state", str(spath), *extra, "--scheme", "bell",
+                   "--count", "10", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert f"--state excludes {extra[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_u_file_with_u_seed_is_usage_error(self, tmp_path, capsys):
+        # one source per unitary: argparse refuses the pair before any work
+        ufile, out = tmp_path / "u.json", tmp_path / "r.jsonl"
+        ufile.write_text(json.dumps({"seed": 4}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--family", "five-peak", "--nu", "0.5", "--eps0", "0.2",
+                  "--gamma", "0.5", "--u-file", str(ufile), "--u-seed", "9",
+                  "--scheme", "bell", "--count", "10", "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument --u-file" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNonFiniteInputs:
     """NaN and +-inf exit 2 as input errors wherever they enter, and no output
@@ -695,6 +743,13 @@ class TestNonFiniteInputs:
         assert exc.value.code == 2
         assert f"expected a finite number, got '{value}'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("gamma", ["nan", "0.5,nan+1i"])
+    def test_classicality_nan_gamma_is_2(self, capsys, gamma):
+        # a NaN gamma is an input error (2), not a NaN in the output (3)
+        rc = main(["state", "classicality", "--nu", "0.5", "--eps0", "0.2", f"--gamma={gamma}"])
+        assert rc == 2
+        assert "center vector has non-finite entries" in capsys.readouterr().err
 
     def test_nan_u_file_is_2(self, tmp_path, capsys):
         # NaN passed both unitary checks (nan > tol is False), and the

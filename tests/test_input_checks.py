@@ -17,7 +17,8 @@ from cvlearn.fock_oracle import (FockMatrix, build_state, char_trace, husimi, pe
                                  wigner_parity)
 from cvlearn.game import (GameConfig, five_peak_window_probability, per_copy_tvd_bound,
                           tvd_pair, window_probability)
-from cvlearn.measurements import MeasurementRecord, heterodyne_mixture, validate_bell_pair
+from cvlearn.measurements import (MeasurementRecord, bell_mixture, heterodyne_mixture, sample_bell,
+                                  validate_bell_pair)
 from cvlearn.numerics import (SymmetricUnitary, make_rng, psd_check, regularized_upper_gamma,
                               sample_complex_gaussian)
 from cvlearn.states import (PeakState, apply_circuit, char_fn, classicality_smax, make_five_peak,
@@ -179,6 +180,21 @@ CHECKS += [
      lambda: emit_curves("kappa", [1.0, math.nan], ["ub_bm"],
                          BoundInputs(epsilon=0.09, kappa=2.0, n=8))),
 ]
+
+# classicality_smax reads gamma as finite numbers, as peak_layout does
+CHECKS += [(f"smax-gamma-{label}", "center vector has non-finite entries",
+            lambda x=x: classicality_smax(0.5, 0.2, [x]))
+           for label, x in (("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf))]
+
+# The state as its own Bell partner, with peaks far out: its chi and the true
+# partner's agree to 1e-8 near the origin, but its peaks are not the state's
+# (w, gamma*), and every Bell entry point must refuse it.
+FAR_PEAKS = [make_three_peak(1, 0.75, 0.05, [6j]), make_three_peak(2, 0.75, 0.05, [4j, 3j])]
+CHECKS += [(f"bell-pair-far-peaks-{name}-n{st.n}", "reflection contract",
+            lambda call=call, st=st: call(st, st))
+           for st in FAR_PEAKS
+           for name, call in (("validate", validate_bell_pair), ("mixture", bell_mixture),
+                              ("sample", lambda st, partner: sample_bell(st, partner, 100, 1)))]
 
 
 @pytest.mark.parametrize("match, call", [c[1:] for c in CHECKS], ids=[c[0] for c in CHECKS])
